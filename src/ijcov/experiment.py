@@ -95,6 +95,19 @@ class ExperimentConfig:
             raise ValueError("need n >= g_count")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.se_reps < 50:
+            raise ValueError("se_reps must be >= 50")
+        if self.b_boot < 10:
+            raise ValueError("b_boot must be >= 10")
+        # ChainConfig refuses a bad burn_in here instead of in the chain
+        # stage; the normal study's exact sampler keeps every draw
+        chain = ChainConfig(m_draws=self.m_draws, burn_in=self.burn_in)
+        retained = self.m_draws if self.model == "normal_misspec" else chain.retained()
+        if self.blocks is not None and not 2 <= self.blocks <= retained // 2:
+            raise ValueError(
+                f"blocks must lie in [2, {retained // 2}] for {retained} retained "
+                f"draws, got {self.blocks}"
+            )
 
     @property
     def n_over_g(self) -> float:
@@ -168,7 +181,8 @@ class ExperimentResult:
 
 
 class _Stage:
-    """Times a pipeline stage and renames any failure after it."""
+    """Times a pipeline stage and renames any failure after it; KeyboardInterrupt
+    and other BaseExceptions pass through unchanged."""
 
     def __init__(self, name: str, timings: dict):
         self.name = name
@@ -180,7 +194,7 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.timings[self.name] = time.perf_counter() - self.t0
-        if exc is None:
+        if not isinstance(exc, Exception):
             return False
         msg = f"experiment stage {self.name!r} failed: {exc}"
         if isinstance(exc, NumericalError):

@@ -3,7 +3,10 @@
 Two mechanisms:
 
 * a block bootstrap over retained draws, for statistics computed from one
-  chain (the Bayes and IJ covariances inherit MCMC noise from the draws);
+  chain (the Bayes and IJ covariances inherit MCMC noise from the draws).
+  The chain is summed once per block; a replicate only reweights those
+  block sums by how often it drew each block, so no resampled chain is
+  ever built and memory stays O(blocks * N * q);
 * a delta-method SE for the bootstrap covariance, propagating the B-replicate
   scatter of (t_i t_j, t_i, t_j) through h(m11, m10, m01) = m11 - m10 * m01.
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovEstimate, bayes_covariance, ij_covariance, influence_scores
+from .estimators import CovEstimate
 from .rng import KIND_BLOCK_BOOT, stream
 from .samplers import PosteriorSample, ess
 
@@ -51,12 +54,41 @@ class SEMatrix:
             raise ValueError("SE entries must be finite and nonnegative")
 
 
-def _evaluate_statistic(sub: PosteriorSample, statistic: str) -> np.ndarray:
-    if statistic == "bayes_cov":
-        return bayes_covariance(sub).v
-    if statistic == "ij_cov":
-        return ij_covariance(influence_scores(sub)).v
-    return sub.g_values.mean(axis=0)
+class _BlockSums:
+    """Per-block sums of the chain centered at its full-chain means: sum g,
+    sum g g^T and, with the log-likelihood, sum ll and sum ll g^T (blocks x N
+    x q; N = 0 without).  A resample that takes block b c_b times has the
+    c-weighted totals as its draw sums, so no resampled chain is built.
+    Blocks are centered one at a time, so no M x N copy is made."""
+
+    def __init__(self, sample: PosteriorSample, segments: list, with_loglik: bool):
+        self.n_data = sample.n_data
+        self.lengths = np.array([len(s) for s in segments])
+        g_mean = sample.g_values.mean(axis=0)
+        ll_mean = sample.loglik.mean(axis=0) if with_loglik else None
+        sums = []
+        for s in segments:
+            g = sample.g_values[s] - g_mean
+            ll = sample.loglik[s] - ll_mean if with_loglik else np.empty((len(s), 0))
+            sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
+        self.s_g, self.s_gg, self.s_l, self.s_lg = map(np.array, zip(*sums))
+
+    def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
+        """The statistic on the resample taking block b counts[b] times, with
+        the divisors of `bayes_covariance` and `ij_covariance`; mean_g comes
+        out centered at the chain mean, which leaves its spread unchanged."""
+        m = counts @ self.lengths
+        g_bar = counts @ self.s_g / m
+        if statistic == "mean_g":
+            return g_bar
+        if statistic == "bayes_cov":
+            s_gg = np.tensordot(counts, self.s_gg, axes=1)
+            return self.n_data * (s_gg - m * np.outer(g_bar, g_bar)) / (m - 1)
+        l_bar = counts @ self.s_l / m
+        s_lg = np.tensordot(counts, self.s_lg, axes=1)
+        psi = self.n_data * (s_lg - m * np.outer(l_bar, g_bar)) / (m - 1)
+        psi -= psi.mean(axis=0)
+        return psi.T @ psi / (self.n_data - 1)
 
 
 def block_bootstrap_se(
@@ -70,8 +102,11 @@ def block_bootstrap_se(
     """Block bootstrap over retained draws.
 
     Splits the chain into `blocks` contiguous blocks (np.array_split), draws
-    blocks with replacement, recomputes the statistic on the concatenation,
-    and reports the entrywise SD (divisor reps-1) over replicates.  The
+    blocks with replacement, evaluates the statistic on the resample, and
+    reports the entrywise SD (divisor reps-1) over replicates.  The
+    resample is never built: the chain is centered at its means and summed
+    once per block, and a replicate weights those sums by its block counts
+    (bincount of the picks); memory stays O(blocks * N * q).  The
     default block count max(20, M // (10 * tau_hat)) keeps blocks a few
     autocorrelation times long; a warning fires when blocks end up shorter
     than 5 * tau_hat.
@@ -80,6 +115,8 @@ def block_bootstrap_se(
         raise ValueError(f"statistic must be one of {_STATISTICS}")
     if statistic == "ij_cov" and sample.loglik is None:
         raise ValueError("ij_cov block bootstrap needs the log-likelihood matrix")
+    if statistic == "ij_cov" and sample.n_data < 2:
+        raise ValueError("ij_cov block bootstrap needs at least 2 datapoints")
     if reps < 50:
         raise ValueError("reps must be >= 50")
     m = sample.m
@@ -108,14 +145,13 @@ def block_bootstrap_se(
             RuntimeWarning,
         )
 
+    sums = _BlockSums(sample, segments, with_loglik=statistic == "ij_cov")
     rng = stream(seed, KIND_BLOCK_BOOT)
     values = []
     for _ in range(reps):
         pick = rng.integers(0, blocks, size=blocks)
-        idx = np.concatenate([segments[b] for b in pick])
-        values.append(_evaluate_statistic(sample.subset(idx), statistic))
-    values = np.asarray(values)
-    xi = values.std(axis=0, ddof=1)
+        values.append(sums.statistic(np.bincount(pick, minlength=blocks), statistic))
+    xi = np.asarray(values).std(axis=0, ddof=1)
     return SEMatrix(xi=xi, method=f"block_bootstrap[{statistic}]", blocks=blocks, reps=reps)
 
 

@@ -130,18 +130,6 @@ class PosteriorSample:
     def q(self) -> int:
         return self.g_values.shape[1]
 
-    def subset(self, rows) -> "PosteriorSample":
-        """Row-reindexed copy (used by the block bootstrap)."""
-        rows = np.asarray(rows)
-        return PosteriorSample(
-            draws=self.draws[rows],
-            g_values=self.g_values[rows],
-            loglik=None if self.loglik is None else self.loglik[rows],
-            n_data=self.n_data,
-            ess_per_param=None,
-            meta=dict(self.meta),
-        )
-
 
 def _group_fsum(values: np.ndarray, groups: np.ndarray, g_count: int) -> np.ndarray:
     """Per-group exact sums (fsum), so data permutations cannot change bits."""

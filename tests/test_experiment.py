@@ -75,6 +75,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="threads"):
             ExperimentConfig(model="normal_misspec", n=10, threads=0)
 
+    def test_replicate_floors(self):
+        with pytest.raises(ValueError, match="se_reps"):
+            ExperimentConfig(model="normal_misspec", n=10, se_reps=49)
+        with pytest.raises(ValueError, match="b_boot"):
+            ExperimentConfig(model="normal_misspec", n=10, b_boot=9)
+
+    def test_blocks_within_retained_draws(self):
+        # the Gibbs chain keeps 200 of 400 draws; the exact sampler keeps all
+        with pytest.raises(ValueError, match="blocks"):
+            ExperimentConfig(**{**TINY, "blocks": 1})
+        with pytest.raises(ValueError, match="blocks"):
+            ExperimentConfig(**{**TINY, "blocks": 101})
+        ExperimentConfig(**{**TINY, "blocks": 100})
+        ExperimentConfig(model="normal_misspec", n=10, m_draws=400, blocks=200)
+        with pytest.raises(ValueError, match="blocks"):
+            ExperimentConfig(model="normal_misspec", n=10, m_draws=400, blocks=201)
+
     def test_n_over_g(self):
         cfg = ExperimentConfig(model="poisson_re", n=40, g_count=8)
         assert cfg.n_over_g == 5.0
@@ -262,10 +279,26 @@ class TestRendering:
 
 
 class TestStageFailures:
-    def test_usage_failure_names_stage(self):
-        cfg = ExperimentConfig(**{**TINY, "blocks": 1})
+    def test_usage_failure_names_stage(self, monkeypatch):
+        # the config refuses a bad block count, so the usage failure is
+        # injected where the block bootstrap would raise it
+        def refuse(*args, **kwargs):
+            raise ValueError("blocks must lie in [2, M // 2]")
+
+        monkeypatch.setattr("ijcov.experiment.block_bootstrap_se", refuse)
         with pytest.raises(RuntimeError, match="stage 'chain_se'"):
-            run_quiet(cfg)
+            run_quiet(ExperimentConfig(**TINY))
+
+    def test_keyboard_interrupt_passes_through(self, monkeypatch):
+        interrupt = KeyboardInterrupt()
+
+        def stop(*args, **kwargs):
+            raise interrupt
+
+        monkeypatch.setattr("ijcov.experiment.block_bootstrap_se", stop)
+        with pytest.raises(KeyboardInterrupt) as exc:
+            run_quiet(ExperimentConfig(**TINY))
+        assert exc.value is interrupt
 
     def test_numerical_failure_keeps_type_and_stage(self, monkeypatch):
         def boom(n, theta, rng):
@@ -325,3 +358,18 @@ class TestCliPipeline:
         assert code == 0
         assert (out2 / "z_delta.csv").read_bytes() == \
             (out1 / "z_delta.csv").read_bytes()
+
+    def test_bad_config_exits_1_before_any_compute(self, tmp_path, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the study must not start")
+
+        monkeypatch.setattr("ijcov.cli.run_experiment", never)
+        out = tmp_path / "run"
+        code = cli_dispatch(["--out", str(out), "experiment",
+                             "--model", "normal_misspec", "--n", "50",
+                             "--se-reps", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "se_reps" in err
+        assert err.count("\n") == 1
+        assert not out.exists()

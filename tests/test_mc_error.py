@@ -8,13 +8,25 @@ import numpy as np
 import pytest
 
 from ijcov import (
+    ChainConfig,
     CovEstimate,
+    NormalMeanModel,
+    PoissonGammaREModel,
     PosteriorSample,
+    SimSpec,
+    bayes_covariance,
     block_bootstrap_se,
     delta_method_boot_se,
     delta_metrics,
+    ij_covariance,
+    influence_scores,
+    sample_posterior,
+    simulate_misspecified_normal,
+    simulate_poisson_re,
     z_matrix,
 )
+from ijcov.mc_error import _BlockSums
+from ijcov.rng import KIND_BLOCK_BOOT, stream
 
 
 def chain_sample(g, loglik=None, n_data=10):
@@ -92,6 +104,88 @@ class TestBlockBootstrapSE:
             x[t] = phi * x[t - 1] + eps[t]
         with pytest.warns(RuntimeWarning, match="block"):
             block_bootstrap_se(chain_sample(x), "mean_g", blocks=m // 2, reps=60, seed=0)
+
+
+def exact_chain():
+    data = simulate_misspecified_normal(40, "laplace", seed=2)
+    return sample_posterior(NormalMeanModel(known_sd=1.0), data,
+                            cfg=ChainConfig(m_draws=1000, rng_seed=2))
+
+
+def re_chain(method):
+    spec = SimSpec(n=30, g_count=3, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=3)
+    data, _ = simulate_poisson_re(spec)
+    model = PoissonGammaREModel(group_count=3, alpha=25.0, beta=2.5)
+    return sample_posterior(model, data, cfg=ChainConfig(m_draws=1200, rng_seed=4),
+                            method=method)
+
+
+def mh_chain_all_params():
+    # every parameter as a g column (q = 4), so the q x q and N x q block
+    # sums are exercised off the diagonal
+    s = re_chain("mh")
+    return PosteriorSample(draws=s.draws, g_values=s.draws, loglik=s.loglik,
+                           n_data=s.n_data)
+
+
+CHAINS = {"exact": exact_chain, "gibbs": lambda: re_chain("gibbs"),
+          "mh": mh_chain_all_params}
+
+
+def rows(sample, idx):
+    return PosteriorSample(draws=sample.draws[idx], g_values=sample.g_values[idx],
+                           loglik=sample.loglik[idx], n_data=sample.n_data)
+
+
+def resample_oracle(sample, statistic, blocks, reps, seed):
+    """The block bootstrap computed the long way: concatenate the picked
+    blocks' rows and recompute the statistic from scratch."""
+    segments = np.array_split(np.arange(sample.m), blocks)
+    rng = stream(seed, KIND_BLOCK_BOOT)
+    values = []
+    for _ in range(reps):
+        pick = rng.integers(0, blocks, size=blocks)
+        sub = rows(sample, np.concatenate([segments[b] for b in pick]))
+        if statistic == "bayes_cov":
+            values.append(bayes_covariance(sub).v)
+        elif statistic == "ij_cov":
+            values.append(ij_covariance(influence_scores(sub)).v)
+        else:
+            values.append(sub.g_values.mean(axis=0))
+    return np.asarray(values).std(axis=0, ddof=1)
+
+
+class TestBlockSumsAgainstResampling:
+    @pytest.mark.parametrize("statistic", ["bayes_cov", "ij_cov", "mean_g"])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_matches_recomputed_resamples(self, chain, statistic):
+        sample = CHAINS[chain]()
+        assert sample.m % 20 == 0 and sample.m % 7, "want equal and unequal blocks"
+        for blocks in (20, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = block_bootstrap_se(sample, statistic, blocks=blocks, reps=60, seed=9)
+            want = resample_oracle(sample, statistic, blocks, 60, seed=9)
+            assert got.blocks == blocks and got.reps == 60
+            np.testing.assert_allclose(got.xi, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("blocks", [10, 7])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_unit_counts_reproduce_full_chain_estimates(self, chain, blocks):
+        sample = CHAINS[chain]()
+        segments = np.array_split(np.arange(sample.m), blocks)
+        sums = _BlockSums(sample, segments, with_loglik=True)
+        ones = np.ones(blocks, dtype=np.int64)
+        for got, want in [
+            (sums.statistic(ones, "bayes_cov"), bayes_covariance(sample).v),
+            (sums.statistic(ones, "ij_cov"), ij_covariance(influence_scores(sample)).v),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        # the replicate mean is centered at the chain mean
+        scale = np.abs(sample.g_values).max()
+        np.testing.assert_allclose(sums.statistic(ones, "mean_g"), 0.0,
+                                   atol=1e-12 * scale)
 
 
 class TestDeltaMethodSE:
