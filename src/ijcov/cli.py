@@ -23,7 +23,7 @@ from .diagnostics import (
     diagnose as run_diagnose,
     poisson_re_view,
 )
-from .errors import DimensionMismatchError, IngestError, NumericalError
+from .errors import DimensionMismatchError, IngestError, NumericalError, StageError
 from .estimators import (
     bootstrap_covariance,
     ij_covariance,
@@ -466,7 +466,7 @@ def cli_dispatch(argv=None) -> int:
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2
-    except (IngestError, DimensionMismatchError, ValueError, OSError) as exc:
+    except (IngestError, DimensionMismatchError, StageError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage/input problems exit 1, numerical
-failures exit 2.
+The CLI maps these onto exit codes: usage/input problems and other stage
+failures exit 1, numerical failures exit 2.
 """
 
 
@@ -16,3 +16,7 @@ class NumericalError(RuntimeError):
 
 class IngestError(ValueError):
     """A malformed input file (schema violation, non-finite cell, bad index)."""
+
+
+class StageError(RuntimeError):
+    """A non-numerical failure inside a named `experiment` stage."""

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import diagnose, poisson_re_view
-from .errors import NumericalError
+from .errors import NumericalError, StageError
 from .estimators import (
     CovEstimate,
     bayes_covariance,
@@ -199,7 +199,7 @@ class _Stage:
         msg = f"experiment stage {self.name!r} failed: {exc}"
         if isinstance(exc, NumericalError):
             raise NumericalError(msg) from exc
-        raise RuntimeError(msg) from exc
+        raise StageError(msg) from exc
 
 
 def _build_model(cfg: ExperimentConfig):

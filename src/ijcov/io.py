@@ -6,13 +6,26 @@ files are bit-exact across platforms and re-reading reproduces the matrices
 to the last ulp.  Draw files carry a strictly increasing integer ``draw``
 column; log-likelihood files must agree with the draw file row by row.
 Validation failures raise :class:`IngestError` citing the 1-based data row.
+
+Draw and log-likelihood files are written row by row with ``repr`` joined
+per row, byte-identical to ``csv.writer`` over :func:`fmt`.  They are read
+by numpy's C parser when the file is plainly well formed: an unquoted
+header, LF or CRLF line ends, no blank lines, at least two rows of the
+header's width, every cell finite, and an integral, strictly increasing
+``draw`` column.  Any other file goes through the per-cell validator, so
+every accepted file yields the same bits and every rejected one the same
+:class:`IngestError` message (row, column, reason) on either path.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
+import operator
+import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +110,11 @@ def read_dataset_csv(path) -> tuple[Dataset, str]:
     """Reads either dataset schema back; returns (Dataset, kind)."""
     header, body = _read_rows(path)
     if header == ["x"]:
-        vals = [
-            _parse_float(row[0] if row else "", i + 1, "x")
-            for i, row in enumerate(body)
-        ]
+        vals = []
+        for i, row in enumerate(body):
+            if len(row) != 1:
+                raise IngestError(f"row {i + 1}: expected 1 cell, got {len(row)}")
+            vals.append(_parse_float(row[0], i + 1, "x"))
         return Dataset(np.array(vals)), "normal"
     if header == ["y", "a"]:
         units = []
@@ -116,6 +130,19 @@ def read_dataset_csv(path) -> tuple[Dataset, str]:
     raise IngestError(f"{path}: unrecognized dataset header {header}")
 
 
+def _write_indexed_block(path, header, blocks) -> None:
+    """Writes ``draw`` = 0..M-1 followed by the row-wise concatenation of
+    `blocks` (arrays with M rows).  Rows are converted one at a time, so no
+    list of all M x N cells is ever held."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for m, parts in enumerate(zip(*blocks)):
+            cells = chain.from_iterable(part.tolist() for part in parts)
+            fh.write(f"{m}," + ",".join(map(repr, cells)) + "\r\n")
+
+
 def write_draws_csv(path, sample: PosteriorSample, param_names=None) -> None:
     """Schema: draw,<param_1..D>,g_1..g_q (draw = 0-based retained index)."""
     d = sample.draws.shape[1]
@@ -124,10 +151,7 @@ def write_draws_csv(path, sample: PosteriorSample, param_names=None) -> None:
     if len(names) != d:
         raise ValueError("param_names length does not match draw dimension")
     header = ["draw", *names, *[f"g_{j + 1}" for j in range(q)]]
-    rows = (
-        [m, *sample.draws[m], *sample.g_values[m]] for m in range(sample.m)
-    )
-    write_csv(path, header, rows)
+    _write_indexed_block(path, header, (sample.draws, sample.g_values))
 
 
 def write_loglik_csv(path, sample: PosteriorSample) -> None:
@@ -136,11 +160,60 @@ def write_loglik_csv(path, sample: PosteriorSample) -> None:
         raise ValueError("sample has no log-likelihood matrix")
     n = sample.n_data
     header = ["draw", *[f"ll_{j + 1}" for j in range(n)]]
-    rows = ([m, *sample.loglik[m]] for m in range(sample.m))
-    write_csv(path, header, rows)
+    _write_indexed_block(path, header, (sample.loglik,))
 
 
-def _parse_indexed_block(path, lead_col: str):
+def _line_count(path):
+    """Lines in the file, a final unterminated one included; None when some
+    CR is not the first half of a CRLF (csv and numpy split such files
+    differently)."""
+    lf = cr = crlf = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lf += chunk.count(b"\n")
+            cr += chunk.count(b"\r")
+            crlf += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+            last = chunk[-1:]
+    if cr != crlf:
+        return None
+    return lf + (last not in (b"", b"\n"))
+
+
+def _load_indexed_block(path, lead_col: str):
+    """The fast path: numpy's C parser, accepted only when the result is the
+    one the per-cell validator would return; None otherwise."""
+    try:
+        lines = _line_count(path)
+        if lines is None or lines < 3:
+            return None
+        with open(path, newline="") as fh:
+            first = fh.readline()
+            if '"' in first:
+                return None
+            header = next(csv.reader([first]))
+            if header[:1] != [lead_col] or len(header) < 2:
+                return None
+            with warnings.catch_warnings():
+                # a body of blank lines warns; the shape check refuses it
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if block.shape != (lines - 1, len(header)) or not np.isfinite(block).all():
+        return None
+    draw = block[:, 0]
+    if not (np.all(draw == np.floor(draw)) and np.all(np.abs(draw) < 2.0**63)):
+        return None
+    idx = draw.astype(np.int64)
+    if not np.all(idx[1:] > idx[:-1]):
+        return None
+    # C order as from the cell parser, so later reductions sum in the same order
+    return idx, header[1:], np.ascontiguousarray(block[:, 1:])
+
+
+def _parse_indexed_cells(path, lead_col: str):
+    """The per-cell validator: parses any file and names the first bad row."""
     header, body = _read_rows(path)
     if not header or header[0] != lead_col:
         raise IngestError(f"{path}: first column must be {lead_col!r}, got {header[:1]}")
@@ -172,6 +245,11 @@ def _parse_indexed_block(path, lead_col: str):
     return idx, cols, vals
 
 
+def _parse_indexed_block(path, lead_col: str):
+    fast = _load_indexed_block(path, lead_col)
+    return fast if fast is not None else _parse_indexed_cells(path, lead_col)
+
+
 def ingest_draws(path):
     """Parse a draws CSV; returns (draw_index, param_names, params, g or None).
 
@@ -192,6 +270,47 @@ def ingest_loglik(path):
     """Parse a log-likelihood CSV; returns (draw_index, M x N matrix)."""
     idx, _, vals = _parse_indexed_block(path, "draw")
     return idx, vals
+
+
+_G_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_G_EXPR_FUNCS = ("exp", "log", "sqrt", "abs", "sin", "cos", "tanh")
+
+
+def _eval_g_expr(expr: str, env: dict):
+    """Evaluates `expr` over the column arrays in `env`.  Only column names,
+    numbers, + - * / **, unary minus and ``np.<fn>(x)`` for the functions in
+    _G_EXPR_FUNCS are allowed; anything else raises ValueError."""
+
+    def ev(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _G_EXPR_OPS:
+            return _G_EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)  # float powers overflow instead of growing
+        if isinstance(node, ast.Name):
+            if node.id not in env:
+                raise ValueError(f"name {node.id!r} is not a parameter column")
+            return env[node.id]
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in _G_EXPR_FUNCS
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            return getattr(np, node.func.attr)(ev(node.args[0]))
+        raise ValueError(f"unsupported expression {ast.unparse(node)!r}")
+
+    return ev(ast.parse(expr, mode="eval").body)
 
 
 def assemble_sample(
@@ -217,9 +336,8 @@ def assemble_sample(
         g = params[:, [s - 1 for s in sel]]
     if g is None and g_expr is not None:
         env = {name: params[:, j] for j, name in enumerate(names)}
-        env["np"] = np
         try:
-            val = eval(g_expr, {"__builtins__": {}}, env)  # noqa: S307 - local CLI selector
+            val = _eval_g_expr(g_expr, env)
         except Exception as exc:
             raise IngestError(f"--g-expr failed: {exc}") from exc
         g = np.asarray(val, dtype=np.float64).reshape(params.shape[0], -1)

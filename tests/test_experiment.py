@@ -359,6 +359,23 @@ class TestCliPipeline:
         assert (out2 / "z_delta.csv").read_bytes() == \
             (out1 / "z_delta.csv").read_bytes()
 
+    def test_stage_failure_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("synthetic usage failure")
+
+        monkeypatch.setattr("ijcov.experiment.block_bootstrap_se", refuse)
+        args = ["--seed", "0", "--out", str(tmp_path / "run"), "experiment",
+                "--model", "poisson_re", "--n", "12", "--g-count", "3",
+                "--gamma-true", "0.5", "--alpha", "3.0", "--beta", "1.5",
+                "--m", "400", "--b", "12", "--r", "12", "--se-reps", "60"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli_dispatch(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: experiment stage 'chain_se' failed: "
+                       "synthetic usage failure\n")
+
     def test_bad_config_exits_1_before_any_compute(self, tmp_path, capsys, monkeypatch):
         def never(cfg):
             raise AssertionError("the study must not start")

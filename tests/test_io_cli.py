@@ -6,12 +6,17 @@ are written with shortest round-trip formatting, so file round-trips are
 checked for bit equality, which is stronger than the documented 1e-12.
 """
 
+import csv
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ijcov import (
     ChainConfig,
@@ -24,6 +29,7 @@ from ijcov import (
     sample_posterior,
     sandwich_covariance,
 )
+from ijcov import io as ijcov_io
 from ijcov.cli import cli_dispatch
 from ijcov.errors import IngestError
 from ijcov.io import (
@@ -36,6 +42,7 @@ from ijcov.io import (
     write_draws_csv,
     write_loglik_csv,
 )
+from ijcov.samplers import PosteriorSample
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +127,12 @@ class TestDatasetCsv:
         path = tmp_path / "x.csv"
         path.write_text("y,a\n1.5,0\n")
         with pytest.raises(IngestError, match="integers"):
+            read_dataset_csv(path)
+
+    def test_ragged_normal_row_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"x\r\n1.0,99\r\n2.0\r\n")
+        with pytest.raises(IngestError, match="row 1: expected 1 cell, got 2"):
             read_dataset_csv(path)
 
 
@@ -238,6 +251,185 @@ class TestIngestValidation:
             assemble_sample(d, l, g_cols="1")
 
 
+def csv_fmt_oracle(path, header, rows):
+    """The writer the vectorized one replaced: csv.writer over fmt() cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e-4,
+    1e16, 9999999999999998.0, 1e22, 1.7976931348623157e308, -1.0 / 3.0,
+]
+float_cells = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def posterior_samples(draw):
+    m, d, q, n = (draw(st.integers(lo, hi)) for lo, hi in ((2, 6), (1, 3), (1, 2), (1, 4)))
+
+    def block(cols):
+        cells = draw(st.lists(float_cells, min_size=m * cols, max_size=m * cols))
+        return np.array(cells, dtype=np.float64).reshape(m, cols)
+
+    return PosteriorSample(draws=block(d), g_values=block(q), loglik=block(n), n_data=n)
+
+
+class TestWriterMatchesCsvOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sample=posterior_samples())
+    def test_bytes_equal(self, sample):
+        m, d, q, n = sample.m, sample.draws.shape[1], sample.q, sample.n_data
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_draws_csv(tmp / "d.csv", sample)
+            csv_fmt_oracle(
+                tmp / "d0.csv",
+                ["draw", *[f"p_{j + 1}" for j in range(d)], *[f"g_{j + 1}" for j in range(q)]],
+                ([i, *sample.draws[i], *sample.g_values[i]] for i in range(m)),
+            )
+            write_loglik_csv(tmp / "l.csv", sample)
+            csv_fmt_oracle(
+                tmp / "l0.csv",
+                ["draw", *[f"ll_{j + 1}" for j in range(n)]],
+                ([i, *sample.loglik[i]] for i in range(m)),
+            )
+            assert (tmp / "d.csv").read_bytes() == (tmp / "d0.csv").read_bytes()
+            assert (tmp / "l.csv").read_bytes() == (tmp / "l0.csv").read_bytes()
+
+    def test_five_digit_draw_indices(self, tmp_path):
+        m = 10_050
+        vals = np.resize(np.array(EDGE_FLOATS), (m, 1))
+        sample = PosteriorSample(draws=vals, g_values=-vals, loglik=vals, n_data=1)
+        write_loglik_csv(tmp_path / "l.csv", sample)
+        csv_fmt_oracle(tmp_path / "l0.csv", ["draw", "ll_1"],
+                       ([i, *vals[i]] for i in range(m)))
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l0.csv").read_bytes()
+
+
+def parse_outcome(parse, path):
+    """Everything a parser's result or refusal exposes, in comparable form.
+    A draw index beyond int64 overflows in the cell parser; the fast path
+    must hand such files to it, so the same OverflowError is compared."""
+    try:
+        idx, cols, vals = parse(path, "draw")
+    except IngestError as exc:
+        return str(exc)
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+    return idx.dtype.str, idx.tobytes(), cols, vals.dtype.str, vals.shape, vals.tobytes()
+
+
+def assert_paths_agree(path):
+    fast = parse_outcome(ijcov_io._parse_indexed_block, path)
+    assert fast == parse_outcome(ijcov_io._parse_indexed_cells, path)
+    return fast
+
+
+BODY = [["0", "0.5", "-1.25"], ["1", "1e-05", "5e-324"],
+        ["2", "-0.0", "9999999999999998.0"], ["3", "1e16", "2.5"]]
+
+
+def render(rows, end="\r\n", header="draw,p_1,p_2", final=True):
+    lines = [header, *(",".join(r) for r in rows)]
+    return end.join(lines) + (end if final else "")
+
+
+def with_cell(r, c, text):
+    rows = [list(row) for row in BODY]
+    rows[r][c] = text
+    return rows
+
+
+FAST_CASES = {
+    "crlf": render(BODY),
+    "lf_only": render(BODY, end="\n"),
+    "no_trailing_newline": render(BODY, final=False),
+    "whitespace_padded": render(with_cell(1, 1, " \t1e-05 ")),
+    "large_draw_indices": render([["-5", "1.0", "2.0"], ["9007199254740993", "1.0", "2.0"],
+                                  ["9.2e18", "3.0", "4.0"]]),
+    "mixed_crlf_and_lf": render(BODY[:2]) + render(BODY[2:], end="\n", header="")[1:],
+}
+FALLBACK_CASES = {
+    "cr_only": render(BODY, end="\r"),
+    "quoted_cell": render(with_cell(2, 1, '"-0.0"')),
+    "quoted_header": render(BODY, header='"draw",p_1,p_2'),
+    "underscore_digits": render(with_cell(1, 2, "1_0")),
+    "arabic_digit": render(with_cell(1, 2, "\u0661")),
+    "blank_line_mid_body": render(BODY[:2] + [[]] + BODY[2:]),
+    "whitespace_line": render(BODY[:2] + [["  "]] + BODY[2:]),
+    "trailing_blank_line": render(BODY) + "\r\n",
+    "stray_cr": render(BODY).replace("-1.25\r\n", "-1.25\r\r\n"),
+    "nan": render(with_cell(0, 2, "nan")),
+    "inf": render(with_cell(3, 1, "-inf")),
+    "overflow": render(with_cell(3, 1, "1e400")),
+    "ragged_short": render(BODY[:2] + [["2", "1.0"]] + BODY[3:]),
+    "ragged_long": render(BODY[:1] + [["1", "1.0", "2.0", "3.0"]] + BODY[2:]),
+    "empty_cell": render(with_cell(0, 1, "")),
+    "non_numeric": render(with_cell(2, 2, "oops")),
+    "fractional_draw": render(with_cell(1, 0, "1.5")),
+    "duplicate_draw": render(with_cell(2, 0, "1")),
+    "decreasing_draw": render(with_cell(3, 0, "0")),
+    "one_row_body": render(BODY[:1]),
+    "header_only": "draw,p_1,p_2\r\n",
+    "empty_file": "",
+    "leading_blank_line": "\r\n" + render(BODY),
+    "wrong_lead_column": render(BODY, header="iter,p_1,p_2"),
+    "no_data_columns": render([["0"], ["1"]], header="draw"),
+    "header_wider_than_body": render(BODY, header="draw,p_1,p_2,p_3"),
+    "draw_index_beyond_int64": render(with_cell(3, 0, "1e19")),
+}
+
+
+class TestReaderMatchesCellParser:
+    """The fast path against the per-cell validator, called directly as the
+    oracle: bit-equal arrays, or the same IngestError message."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("name", sorted(FAST_CASES))
+    def test_well_formed_file_takes_fast_path(self, tmp_path, name):
+        path = self.write(tmp_path, FAST_CASES[name])
+        assert ijcov_io._load_indexed_block(path, "draw") is not None
+        assert not isinstance(assert_paths_agree(path), str)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+    def test_malformed_file_reaches_cell_parser(self, tmp_path, name):
+        path = self.write(tmp_path, FALLBACK_CASES[name])
+        assert ijcov_io._load_indexed_block(path, "draw") is None
+        assert_paths_agree(path)
+
+    def test_row_numbered_message_survives(self, tmp_path):
+        path = self.write(tmp_path, FALLBACK_CASES["blank_line_mid_body"])
+        assert assert_paths_agree(path) == "row 3: expected 3 cells, got 0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=float_cells,
+        form=st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:+.6E}", "{:.20f}", " {!r}\t"]),
+    )
+    def test_float_text_parses_to_same_bits(self, x, form):
+        text = render(with_cell(1, 1, form.format(x)))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_paths_agree(self.write(Path(tmp), text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell=st.text(alphabet="0123456789.-+eEinfa_ \t\u0661\u00a0", max_size=8),
+           row=st.integers(0, 3), col=st.integers(0, 2))
+    def test_arbitrary_cell_text_agrees(self, cell, row, col):
+        text = render(with_cell(row, col, cell))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_paths_agree(self.write(Path(tmp), text))
+
+
 class TestGResolution:
     def test_file_columns_win(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -270,6 +462,25 @@ class TestGResolution:
         d, _ = toy_files
         with pytest.raises(IngestError, match="--g-expr failed"):
             assemble_sample(d, g_expr="nope + 1")
+
+    def test_g_expr_numpy_functions(self, toy_files):
+        d, _ = toy_files
+        sample = assemble_sample(d, g_expr="np.log(p_1) + 2*p_2")
+        want = np.log([0.5, 1.5, 2.5]) + 2 * np.array([1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(sample.g_values[:, 0], want)
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__bases__[0].__subclasses__()",
+        "p_1.__class__",
+        "np.load('x.npy')",
+        "__import__('os')",
+        "[p_1][0]",
+        "9**9**9",
+    ])
+    def test_g_expr_outside_whitelist_refused(self, toy_files, expr):
+        d, _ = toy_files
+        with pytest.raises(IngestError, match="--g-expr failed"):
+            assemble_sample(d, g_expr=expr)
 
     def test_no_g_anywhere(self, toy_files):
         d, _ = toy_files
