@@ -133,6 +133,18 @@ def bayes_covariance(sample: PosteriorSample) -> CovEstimate:
     return CovEstimate(v=v, method="bayes", b_or_m=sample.m)
 
 
+def map_replicates(fn, tasks, threads: int) -> list:
+    """[fn(t) for t in tasks], in task order: in-process when threads <= 1,
+    else on a pool of `threads` worker processes fed one task at a time.
+    `fn` must be a module-level function and the tasks picklable.  Results
+    come back in task order, so tasks that each carry their own
+    (seed, replicate) stream give the same list for any worker count."""
+    if threads <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _bootstrap_replicate(args):
     model, data, cfg, seed, rep, method = args
     try:
@@ -171,12 +183,7 @@ def bootstrap_covariance(
     if b < 2:
         raise ValueError("need at least 2 bootstrap replicates")
     tasks = [(model, data, cfg, seed, rep, method) for rep in range(b)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(_bootstrap_replicate, tasks, chunksize=max(1, b // (4 * threads))))
-    else:
-        means = [_bootstrap_replicate(t) for t in tasks]
-    means = np.asarray(means, dtype=np.float64)
+    means = np.asarray(map_replicates(_bootstrap_replicate, tasks, threads), dtype=np.float64)
     t = math.sqrt(data.n) * means
     t_c = t - t.mean(axis=0, keepdims=True)
     v = t_c.T @ t_c / (b - 1)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .estimators import (
     bootstrap_covariance,
     ij_covariance,
     influence_scores,
+    map_replicates,
     sandwich_covariance,
 )
 from .io import SCHEMA_VERSION, cov_from_dict, cov_to_dict, write_csv, write_json
@@ -306,11 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     with _Stage("ground_truth", timings):
         tasks = [(cfg, theta_true, rep) for rep in range(cfg.r_ground_truth)]
-        if cfg.threads > 1:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                gt_means = list(pool.map(_gt_replicate, tasks))
-        else:
-            gt_means = [_gt_replicate(t) for t in tasks]
+        gt_means = map_replicates(_gt_replicate, tasks, cfg.threads)
         t = math.sqrt(cfg.n) * np.asarray(gt_means)
         tc = t - t.mean(axis=0, keepdims=True)
         v_sim = CovEstimate(

@@ -233,6 +233,8 @@ def _parse_indexed_cells(path, lead_col: str):
         if d != int(d):
             raise IngestError(f"row {r}: draw index must be an integer")
         d = int(d)
+        if not -(2**63) <= d < 2**63:
+            raise IngestError(f"row {r}: draw index {row[0].strip()} outside int64")
         if prev is not None and d <= prev:
             kind = "duplicate" if d == prev else "decreasing"
             raise IngestError(f"row {r}: {kind} draw index {d}")

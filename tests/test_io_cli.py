@@ -313,15 +313,11 @@ class TestWriterMatchesCsvOracle:
 
 
 def parse_outcome(parse, path):
-    """Everything a parser's result or refusal exposes, in comparable form.
-    A draw index beyond int64 overflows in the cell parser; the fast path
-    must hand such files to it, so the same OverflowError is compared."""
+    """Everything a parser's result or refusal exposes, in comparable form."""
     try:
         idx, cols, vals = parse(path, "draw")
     except IngestError as exc:
         return str(exc)
-    except OverflowError as exc:
-        return f"OverflowError: {exc}"
     return idx.dtype.str, idx.tobytes(), cols, vals.dtype.str, vals.shape, vals.tobytes()
 
 
@@ -558,6 +554,17 @@ class TestCliIj:
                                "--g-cols", "1")
         assert code == 1
         assert "row 2" in err
+
+    def test_draw_index_beyond_int64_exits_1(self, capsys, tmp_path):
+        d = tmp_path / "d.csv"
+        l = tmp_path / "l.csv"
+        d.write_text("draw,p_1\n0,1.0\n1e19,2.0\n")
+        l.write_text("draw,ll_1\n0,-1.0\n1,-2.0\n")
+        code, out, err = run_cli(capsys, "ij", "--draws", str(d), "--loglik", str(l),
+                                 "--g-cols", "1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: row 2: draw index 1e19 outside int64"]
 
 
 class TestCliSimulateSample:
