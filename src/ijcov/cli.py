@@ -30,7 +30,7 @@ from .estimators import (
     influence_scores,
     sandwich_covariance,
 )
-from .experiment import ExperimentConfig, ExperimentResult, emit_report, run_experiment
+from .experiment import ExperimentConfig, ExperimentResult, build_model, emit_report, run_experiment
 from .io import (
     assemble_sample,
     cov_to_dict,
@@ -97,32 +97,32 @@ def _print_matrix(mat: np.ndarray) -> None:
         click.echo(" ".join(repr(float(v)) for v in row))
 
 
+def _save(ctx, stem: str, payload, header, rows) -> None:
+    """With --out set, write `payload` to <stem>.json or (header, rows) to
+    <stem>.csv, per --format, and name the file."""
+    path = _out_path(ctx, f"{stem}.{ctx.obj['format']}")
+    if path is None:
+        return
+    if ctx.obj["format"] == "json":
+        write_json(path, payload)
+    else:
+        write_csv(path, header, rows)
+    click.echo(f"wrote {path}")
+
+
 def _emit_estimate(ctx, stem: str, est) -> None:
     """Print the point estimate and save the full payload when --out is set."""
     _print_matrix(est.v)
     if est.se is not None:
         click.echo("se:")
         _print_matrix(est.se)
-    path = _out_path(ctx, f"{stem}.{ctx.obj['format']}")
-    if path is None:
-        return
-    if ctx.obj["format"] == "json":
-        write_json(path, cov_to_dict(est))
-    else:
-        q = est.v.shape[0]
-        rows = [
-            [i, j, est.v[i, j], est.se[i, j] if est.se is not None else 0.0]
-            for i in range(q)
-            for j in range(q)
-        ]
-        write_csv(path, ["i", "j", "estimate", "se"], rows)
-    click.echo(f"wrote {path}")
-
-
-def _build_model(model: str, g_count, alpha, beta, known_sd):
-    if model == "poisson_re":
-        return PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
-    return NormalMeanModel(known_sd=known_sd)
+    q = est.v.shape[0]
+    rows = [
+        [i, j, est.v[i, j], est.se[i, j] if est.se is not None else 0.0]
+        for i in range(q)
+        for j in range(q)
+    ]
+    _save(ctx, stem, cov_to_dict(est), ["i", "j", "estimate", "se"], rows)
 
 
 def _load_data(path: str, model: str) -> Dataset:
@@ -199,7 +199,7 @@ def simulate(ctx, model, n, g_count, gamma_true, alpha, beta, known_sd, dist, sc
 def sample(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
            method, data_path):
     """Run a posterior chain; writes draws.csv and loglik.csv."""
-    mdl = _build_model(model, g_count, alpha, beta, known_sd)
+    mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     cfg = ChainConfig(m_draws=m_draws, burn_in=burn_in, thin=thin,
                       rng_seed=ctx.obj["seed"])
@@ -242,7 +242,7 @@ def ij(ctx, draws_path, loglik_path, g_cols, g_expr):
 def bootstrap(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
               method, data_path, b_reps):
     """Weighted-bootstrap covariance with its delta-method SE."""
-    mdl = _build_model(model, g_count, alpha, beta, known_sd)
+    mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     cfg = ChainConfig(m_draws=m_draws, burn_in=burn_in, thin=thin, rng_seed=0)
     est, rep_means = bootstrap_covariance(
@@ -260,7 +260,7 @@ def bootstrap(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin
 @click.pass_context
 def sandwich(ctx, model, g_count, alpha, beta, known_sd, data_path):
     """MAP sandwich covariance (exits 2 on a singular fit)."""
-    mdl = _build_model(model, g_count, alpha, beta, known_sd)
+    mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     est = sandwich_covariance(map_optimize(mdl, data), mdl)
     _emit_estimate(ctx, "v_map", est)
@@ -285,16 +285,10 @@ def mcse(ctx, draws_path, loglik_path, g_cols, g_expr, statistic, blocks, reps):
     se = block_bootstrap_se(s, statistic, blocks=blocks, reps=reps,
                             seed=ctx.obj["seed"])
     _print_matrix(se.xi)
-    path = _out_path(ctx, f"xi_{statistic}.{ctx.obj['format']}")
-    if path is not None:
-        if ctx.obj["format"] == "json":
-            write_json(path, {"xi": se.xi.tolist(), "method": se.method,
-                              "blocks": se.blocks, "reps": se.reps})
-        else:
-            q = se.xi.shape[0]
-            rows = [[i, j, se.xi[i, j]] for i in range(q) for j in range(q)]
-            write_csv(path, ["i", "j", "xi"], rows)
-        click.echo(f"wrote {path}")
+    q = se.xi.shape[0]
+    _save(ctx, f"xi_{statistic}",
+          {"xi": se.xi.tolist(), "method": se.method, "blocks": se.blocks, "reps": se.reps},
+          ["i", "j", "xi"], [[i, j, se.xi[i, j]] for i in range(q) for j in range(q)])
 
 
 @cli.command()
@@ -333,14 +327,8 @@ def diagnose(ctx, data_path, draws_path, g_count, alpha, beta, ij_se):
         "rho_nn_mean": float(terms.rho_nn.mean()),
         "predicted_bias": flag,
     }
-    path = _out_path(ctx, f"diagnostics.{ctx.obj['format']}")
-    if path is not None:
-        if ctx.obj["format"] == "json":
-            write_json(path, payload)
-        else:
-            rows = [[g, v] for g, v in enumerate(terms.per_group_trace)]
-            write_csv(path, ["group", "trace"], rows)
-        click.echo(f"wrote {path}")
+    _save(ctx, "diagnostics", payload, ["group", "trace"],
+          [[g, v] for g, v in enumerate(terms.per_group_trace)])
 
 
 _PHI_SETS = {

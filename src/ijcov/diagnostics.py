@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .models import Dataset
+from .models import Dataset, hessian_sum, prior_hessian
 from .rng import KIND_COND_DRAWS, stream
-from .samplers import PosteriorSample, _loglik_sums, map_optimize
+from .samplers import PosteriorSample, map_optimize
 from .special import special_digamma, special_trigamma
 
 # numpy 2 renamed trapz; support both without a deprecation warning.
@@ -602,12 +602,18 @@ def bclt_expansion_check(
     with c2 = -(1/N) d2/dth2 and c3 = (1/N) d3/dth3 of the full log
     posterior at the MAP.  Residuals |E[phi] - phi(th) - correction| decay
     like N^-2 when everything is correct; the fitted log-log slope is
-    returned.
+    returned.  Every model must have a ``sum_loglik_grid`` hook (the
+    quadrature needs it); a problem that is not 1-D or lacks the hook is
+    refused before any computation.
     """
-    n_values, e_phi, phi_map, corrections, residuals = [], [], [], [], []
-    for model, data in problems:
+    problems = list(problems)
+    for model, _ in problems:
         if model.dim != 1:
             raise ValueError("expansion check handles 1-D parameters only")
+        if not hasattr(model, "sum_loglik_grid"):
+            raise ValueError("bclt_expansion_check needs a sum_loglik_grid hook")
+    n_values, e_phi, phi_map, corrections, residuals = [], [], [], [], []
+    for model, data in problems:
         fit = map_optimize(model, data)
         if not fit.converged:
             raise NumericalError("MAP optimization did not converge")
@@ -615,15 +621,8 @@ def bclt_expansion_check(
         n = data.n
 
         # Full curvature of the normalized log posterior (prior included).
-        _, hess_sum = _loglik_sums(model, data, fit.theta_hat)
-        prior_h = (
-            model.prior_hessian(fit.theta_hat)
-            if hasattr(model, "prior_hessian")
-            else None
-        )
-        if prior_h is None:
-            raise ValueError("expansion check needs a prior_hessian hook")
-        c2 = -float(hess_sum[0, 0] + prior_h[0, 0]) / n
+        curv = hessian_sum(model, data, fit.theta_hat) + prior_hessian(model, fit.theta_hat)
+        c2 = -float(curv[0, 0]) / n
         if c2 <= 0:
             raise NumericalError("posterior curvature is not positive")
         c3 = _third_derivative(model, data, th)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .models import Dataset
+from .models import Dataset, g_jacobian
 from .rng import KIND_BOOT, seed_sequence
 from .samplers import ChainConfig, MapFit, PosteriorSample, sample_posterior
 
@@ -224,23 +224,8 @@ def sandwich_covariance(fit: MapFit, model) -> CovEstimate:
         raise NumericalError("singular fit")
     inner = np.linalg.solve(info, fit.score_cov_hat)
     inner = np.linalg.solve(info, inner.T).T
-    if hasattr(model, "g_grad"):
-        gg = np.atleast_2d(np.asarray(model.g_grad(fit.theta_hat), dtype=np.float64))
-    else:
-        gg = _fd_g_grad(model, fit.theta_hat)
+    gg = g_jacobian(model, fit.theta_hat)
     v = gg @ inner @ gg.T
     v = 0.5 * (v + v.T)
     return CovEstimate(v=v, method="sandwich", b_or_m=fit.n_data)
 
-
-def _fd_g_grad(model, theta, h=1e-6):
-    theta = np.asarray(theta, dtype=np.float64)
-    cols = []
-    for i in range(theta.size):
-        e = np.zeros(theta.size)
-        e[i] = h * (1.0 + abs(theta[i]))
-        cols.append(
-            (np.asarray(model.g(theta + e)) - np.asarray(model.g(theta - e)))
-            / (2 * e[i])
-        )
-    return np.column_stack(cols)

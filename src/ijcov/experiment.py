@@ -202,12 +202,12 @@ class _Stage:
         raise StageError(msg) from exc
 
 
-def _build_model(cfg: ExperimentConfig):
-    if cfg.model == "poisson_re":
-        return PoissonGammaREModel(
-            group_count=cfg.g_count, alpha=cfg.alpha, beta=cfg.beta
-        )
-    return NormalMeanModel(known_sd=cfg.known_sd)
+def build_model(model: str, g_count: int, alpha: float, beta: float, known_sd: float):
+    """The Poisson random-effects model for "poisson_re", else the normal
+    location model with a flat prior (shared by the study and the CLI)."""
+    if model == "poisson_re":
+        return PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
+    return NormalMeanModel(known_sd=known_sd)
 
 
 def _simulate_observed(cfg: ExperimentConfig):
@@ -229,9 +229,8 @@ def _simulate_observed(cfg: ExperimentConfig):
 
 def _gt_replicate(args):
     """One conditional ground-truth replicate; returns the posterior mean of g."""
-    cfg, theta_true, rep = args
+    cfg, model, theta_true, rep = args
     try:
-        model = _build_model(cfg)
         data_rng = stream(cfg.seed, KIND_GROUND_TRUTH, rep, 0)
         if cfg.model == "poisson_re":
             data = simulate_poisson_re_conditional(cfg.n, theta_true, data_rng)
@@ -270,7 +269,7 @@ def _fourth_moment_se(t: np.ndarray) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline; see the module docstring for the stages."""
     timings: dict = {}
-    model = _build_model(cfg)
+    model = build_model(cfg.model, cfg.g_count, cfg.alpha, cfg.beta, cfg.known_sd)
 
     with _Stage("simulate", timings):
         data, theta_true = _simulate_observed(cfg)
@@ -305,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         v_boot = v_boot.with_se(delta_method_boot_se(rep_means, cfg.n).xi)
 
     with _Stage("ground_truth", timings):
-        tasks = [(cfg, theta_true, rep) for rep in range(cfg.r_ground_truth)]
+        tasks = [(cfg, model, theta_true, rep) for rep in range(cfg.r_ground_truth)]
         gt_means = map_replicates(_gt_replicate, tasks, cfg.threads)
         t = math.sqrt(cfg.n) * np.asarray(gt_means)
         tc = t - t.mean(axis=0, keepdims=True)

@@ -1,4 +1,5 @@
-"""Model abstraction: datasets, weights, and the weighted log posterior.
+"""Model abstraction: datasets, weights, the weighted log posterior, and the
+one reader for each optional model hook.
 
 A model is any object exposing
 
@@ -9,14 +10,30 @@ A model is any object exposing
     log_prior(theta)        log prior density, -inf outside the domain
     g(theta)                quantity of interest, shape (q,)
 
-and optionally, for speed and for derivative-based routines:
+That is all the influence-score, Bayes and bootstrap estimators need.  A
+model may also carry optional hooks, for speed or exact derivatives.  The
+hooks read by more than one routine are read only through the functions
+below, each of which falls back on its own when its hook is missing:
 
-    loglik_vector(data, theta)        all N per-datum log-likelihoods at once
-    sum_loglik_grid(data, thetas)     sum_n log_lik over a 1-D grid of thetas
-    score(x, theta) / hessian(x, theta)
-    prior_score(theta) / prior_hessian(theta)
-    loglik_d3(x, theta) / prior_d3(theta)   third derivatives (1-D models)
-    g_grad(theta)                     Jacobian of g, shape (q, dim)
+    hook                      reader           fallback
+    loglik_vector(data, th)   loglik_vector    loop over log_lik
+    g_vector(draws)           g_matrix         loop over g
+    map_init / mh_init(data)  start_point      zeros(dim)
+    score(x, th)              score_matrix     Jacobian of loglik_vector
+                              score_sum        gradient of the fsum of
+                                               loglik_vector
+    hessian(x, th)            hessian_sum      Jacobian of score_sum
+    prior_score(th)           prior_score      gradient of log_prior
+    prior_hessian(th)         prior_hessian    Jacobian of prior_score
+    g_grad(th)                g_jacobian       Jacobian of g
+
+Every fallback derivative is one central difference, :func:`fd_jacobian`,
+with coordinate i moved by 1e-4 * (1 + |theta_i|); Hessians are
+symmetrized.  Hooks read by one routine only stay with that routine in
+``diagnostics``: ``loglik_d3``/``prior_d3`` (third derivatives of 1-D
+models, else a 4-point difference), ``log_prior_vector`` and ``domain_low``.
+``bclt_expansion_check`` requires ``sum_loglik_grid(data, thetas)`` (sum_n
+log_lik over a 1-D grid) and refuses a model without it.
 
 All evaluations must be pure; they are called concurrently on shared
 immutable data.  Per-datum constants may be dropped from log_lik: posterior
@@ -30,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalError
 
 __all__ = [
     "Dataset",
@@ -103,13 +120,7 @@ def weighted_log_posterior(model, data: Dataset, w, theta) -> float:
     lp = float(model.log_prior(theta))
     if lp == -math.inf:
         return -math.inf
-    if hasattr(model, "loglik_vector"):
-        ll = np.asarray(model.loglik_vector(data, theta), dtype=np.float64)
-    else:
-        ll = np.array(
-            [model.log_lik(data.unit(i), theta) for i in range(data.n)],
-            dtype=np.float64,
-        )
+    ll = loglik_vector(model, data, theta)
     active = w > 0
     if np.any(ll[active] == -math.inf):
         return -math.inf
@@ -122,8 +133,6 @@ def log_lik_matrix(model, data: Dataset, draws) -> np.ndarray:
     Requires M >= 2 draws; raises NumericalError naming (m, n) if any entry
     is non-finite (draws are expected to lie inside the model domain).
     """
-    from .errors import NumericalError
-
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim == 1:
         draws = draws[:, None]
@@ -131,16 +140,108 @@ def log_lik_matrix(model, data: Dataset, draws) -> np.ndarray:
     if m_count < 2:
         raise ValueError("log_lik_matrix needs at least 2 draws")
     out = np.empty((m_count, data.n), dtype=np.float64)
-    has_vec = hasattr(model, "loglik_vector")
     for m in range(m_count):
-        theta = draws[m]
-        if has_vec:
-            out[m] = model.loglik_vector(data, theta)
-        else:
-            out[m] = [model.log_lik(data.unit(i), theta) for i in range(data.n)]
+        out[m] = loglik_vector(model, data, draws[m])
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NumericalError(
             f"non-finite log-likelihood at draw {bad[0]}, datum {bad[1]}"
         )
     return out
+
+
+# Central-difference step, relative to 1 + |theta_i|.  A second derivative
+# without any analytic hook is a difference of differences; at this step its
+# rounding error is about 1e-8 relative (about 1e-6 with steps 1e-6 and 1e-5).
+_FD_STEP = 1e-4
+
+
+def fd_jacobian(f, theta, h: float) -> np.ndarray:
+    """Central-difference Jacobian of f at theta, shape f(theta).shape + (D,);
+    coordinate i moves by h * (1 + |theta_i|)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    cols = []
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = h * (1.0 + abs(theta[i]))
+        cols.append((np.asarray(f(theta + e)) - np.asarray(f(theta - e))) / (2 * e[i]))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_hessian(grad_f, theta) -> np.ndarray:
+    jac = fd_jacobian(grad_f, theta, _FD_STEP)
+    return 0.5 * (jac + jac.T)
+
+
+def loglik_vector(model, data: Dataset, theta) -> np.ndarray:
+    """The N per-datum log-likelihoods at theta."""
+    if hasattr(model, "loglik_vector"):
+        return np.asarray(model.loglik_vector(data, theta), dtype=np.float64)
+    return np.array(
+        [model.log_lik(data.unit(i), theta) for i in range(data.n)], dtype=np.float64
+    )
+
+
+def g_matrix(model, draws: np.ndarray) -> np.ndarray:
+    """g at each row of draws, shape (M, q)."""
+    if hasattr(model, "g_vector"):
+        return np.asarray(model.g_vector(draws), dtype=np.float64)
+    return np.array([model.g(row) for row in draws], dtype=np.float64)
+
+
+def start_point(model, data: Dataset, hook: str) -> np.ndarray:
+    """A fresh copy of the model's `hook` ("map_init" or "mh_init") start
+    point for `data`, else the origin."""
+    if hasattr(model, hook):
+        return np.asarray(getattr(model, hook)(data), dtype=np.float64).copy()
+    return np.zeros(model.dim)
+
+
+def score_matrix(model, data: Dataset, theta) -> np.ndarray:
+    """Per-datum scores d log_lik(x_n | theta) / d theta, shape (N, D)."""
+    if hasattr(model, "score"):
+        return np.array([model.score(data.unit(i), theta) for i in range(data.n)])
+    return fd_jacobian(lambda t: loglik_vector(model, data, t), theta, _FD_STEP)
+
+
+def score_sum(model, data: Dataset, theta) -> np.ndarray:
+    """Sum over data of the scores, shape (D,), accumulated in data order."""
+    if hasattr(model, "score"):
+        s = np.zeros(model.dim)
+        for i in range(data.n):
+            s += model.score(data.unit(i), theta)
+        return s
+    return fd_jacobian(
+        lambda t: math.fsum(loglik_vector(model, data, t).tolist()), theta, _FD_STEP
+    )
+
+
+def hessian_sum(model, data: Dataset, theta) -> np.ndarray:
+    """Sum over data of the log-likelihood Hessians, shape (D, D)."""
+    if hasattr(model, "hessian"):
+        h = np.zeros((model.dim, model.dim))
+        for i in range(data.n):
+            h += model.hessian(data.unit(i), theta)
+        return h
+    return _fd_hessian(lambda t: score_sum(model, data, t), theta)
+
+
+def prior_score(model, theta) -> np.ndarray:
+    """Gradient of log_prior, shape (D,)."""
+    if hasattr(model, "prior_score"):
+        return model.prior_score(theta)
+    return fd_jacobian(lambda t: float(model.log_prior(t)), theta, _FD_STEP)
+
+
+def prior_hessian(model, theta) -> np.ndarray:
+    """Hessian of log_prior, shape (D, D)."""
+    if hasattr(model, "prior_hessian"):
+        return model.prior_hessian(theta)
+    return _fd_hessian(lambda t: prior_score(model, t), theta)
+
+
+def g_jacobian(model, theta) -> np.ndarray:
+    """Jacobian of g, shape (q, D)."""
+    if hasattr(model, "g_grad"):
+        return np.atleast_2d(np.asarray(model.g_grad(theta), dtype=np.float64))
+    return fd_jacobian(model.g, theta, _FD_STEP)

@@ -37,7 +37,10 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .models import Dataset, log_lik_matrix, ones_weights, validate_weights, weighted_log_posterior
+from .models import (
+    Dataset, g_matrix, hessian_sum, log_lik_matrix, ones_weights, prior_hessian, prior_score,
+    score_matrix, score_sum, start_point, validate_weights, weighted_log_posterior,
+)
 from .reference import (
     NormalMeanModel,
     PoissonGammaConjugateModel,
@@ -194,10 +197,7 @@ def sample_posterior(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if hasattr(model, "g_vector"):
-        g_values = np.asarray(model.g_vector(draws), dtype=np.float64)
-    else:
-        g_values = np.array([model.g(row) for row in draws], dtype=np.float64)
+    g_values = g_matrix(model, draws)
     loglik = log_lik_matrix(model, data, draws) if want_loglik else None
 
     ess_pp = None
@@ -282,10 +282,7 @@ def _gibbs_poisson_re(model: PoissonGammaREModel, data, w, cfg, rng) -> np.ndarr
 def _mh_chain(model, data, w, cfg, rng):
     d = model.dim
     if isinstance(cfg.init, str) and cfg.init == "auto":
-        if hasattr(model, "mh_init"):
-            theta = np.asarray(model.mh_init(data), dtype=np.float64).copy()
-        else:
-            theta = np.zeros(d)
+        theta = start_point(model, data, "mh_init")
     else:
         theta = np.asarray(cfg.init, dtype=np.float64).reshape(-1).copy()
         if theta.size != d:
@@ -341,49 +338,6 @@ class MapFit:
     n_data: int = 0
 
 
-def _fd_grad(f, theta, h=1e-6):
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty(theta.size)
-    for i in range(theta.size):
-        e = np.zeros(theta.size)
-        e[i] = h * (1.0 + abs(theta[i]))
-        grad[i] = (f(theta + e) - f(theta - e)) / (2 * e[i])
-    return grad
-
-
-def _fd_hess(grad_f, theta, h=1e-5):
-    theta = np.asarray(theta, dtype=np.float64)
-    d = theta.size
-    hess = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h * (1.0 + abs(theta[i]))
-        hess[:, i] = (grad_f(theta + e) - grad_f(theta - e)) / (2 * e[i])
-    return 0.5 * (hess + hess.T)
-
-
-def _loglik_sums(model, data, theta):
-    """Sum over data of (log_lik, score, hessian), with FD fallbacks."""
-    n = data.n
-    if hasattr(model, "score"):
-        s = np.zeros(model.dim)
-        h = np.zeros((model.dim, model.dim))
-        for i in range(n):
-            x = data.unit(i)
-            s += model.score(x, theta)
-            h += model.hessian(x, theta)
-        return s, h
-
-    def ll_sum(t):
-        return math.fsum(
-            model.log_lik(data.unit(i), t) for i in range(n)
-        )
-
-    s = _fd_grad(ll_sum, theta)
-    h = _fd_hess(lambda t: _fd_grad(ll_sum, t), theta)
-    return s, h
-
-
 def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
     """Newton ascent with backtracking on the MAP objective
 
@@ -401,33 +355,12 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
         return weighted_log_posterior(model, data, ones_weights(n), theta) / n
 
     def grad(theta):
-        if hasattr(model, "score"):
-            s, _ = _loglik_sums(model, data, theta)
-            ps = (
-                model.prior_score(theta)
-                if hasattr(model, "prior_score")
-                else _fd_grad(lambda t: float(model.log_prior(t)), theta)
-            )
-            return (s + ps) / n
-        return _fd_grad(objective, theta)
+        return (score_sum(model, data, theta) + prior_score(model, theta)) / n
 
     def hess(theta):
-        if hasattr(model, "hessian"):
-            _, h = _loglik_sums(model, data, theta)
-            ph = (
-                model.prior_hessian(theta)
-                if hasattr(model, "prior_hessian")
-                else _fd_hess(
-                    lambda t: _fd_grad(lambda u: float(model.log_prior(u)), t), theta
-                )
-            )
-            return (h + ph) / n
-        return _fd_hess(grad, theta)
+        return (hessian_sum(model, data, theta) + prior_hessian(model, theta)) / n
 
-    if hasattr(model, "map_init"):
-        theta = np.asarray(model.map_init(data), dtype=np.float64).copy()
-    else:
-        theta = np.zeros(model.dim)
+    theta = start_point(model, data, "map_init")
 
     f = objective(theta)
     if not math.isfinite(f):
@@ -470,14 +403,13 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
     gnorm = float(np.linalg.norm(g))
     converged = converged or gnorm <= 1e-8 * (1.0 + abs(f))
 
-    score_sum, hess_sum = _sums_for_sandwich(model, data, theta)
-    info = -hess_sum / n
+    info = -hessian_sum(model, data, theta) / n
     info = 0.5 * (info + info.T)
     evals = np.linalg.eigvalsh(info)
     if evals.min() <= 1e-10 * max(evals.max(), 0.0):
         raise NumericalError("singular fit")
 
-    scores = _per_datum_scores(model, data, theta)
+    scores = score_matrix(model, data, theta)
     centered = scores - scores.mean(axis=0, keepdims=True)
     sigma = centered.T @ centered / n
     sigma = 0.5 * (sigma + sigma.T)
@@ -492,29 +424,6 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
         grad_norm=gnorm,
         n_data=n,
     )
-
-
-def _per_datum_scores(model, data, theta) -> np.ndarray:
-    if hasattr(model, "score"):
-        return np.array([model.score(data.unit(i), theta) for i in range(data.n)])
-    return np.array(
-        [
-            _fd_grad(lambda t, i=i: float(model.log_lik(data.unit(i), t)), theta)
-            for i in range(data.n)
-        ]
-    )
-
-
-def _sums_for_sandwich(model, data, theta):
-    if hasattr(model, "hessian"):
-        return _loglik_sums(model, data, theta)
-    s = _per_datum_scores(model, data, theta).sum(axis=0)
-
-    def ll_sum(t):
-        return math.fsum(model.log_lik(data.unit(i), t) for i in range(data.n))
-
-    h = _fd_hess(lambda t: _fd_grad(ll_sum, t), theta)
-    return s, h
 
 
 def ess(chain) -> float:

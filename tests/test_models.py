@@ -7,16 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ijcov.diagnostics
 from ijcov import (
+    ChainConfig,
     Dataset,
     DimensionMismatchError,
     NormalMeanModel,
     NumericalError,
+    PoissonGammaConjugateModel,
     PoissonGammaREModel,
+    bclt_expansion_check,
     log_lik_matrix,
+    map_optimize,
     ones_weights,
+    sample_posterior,
+    sandwich_covariance,
     weighted_log_posterior,
 )
+from ijcov.models import hessian_sum, score_sum
 
 
 class TestDataset:
@@ -143,3 +151,87 @@ class TestLogLikMatrix:
         draws = np.array([[0.0], [np.inf]])
         with pytest.raises(NumericalError, match=r"draw 1"):
             log_lik_matrix(model, data, draws)
+
+
+def _wrap(inner, hooks=()):
+    """A model with only dim/gamma_dim/q, log_lik/log_prior/g and the named
+    optional hooks, all forwarded to `inner`."""
+    attrs = {"dim": inner.dim, "gamma_dim": inner.gamma_dim, "q": inner.q}
+    for name in ("log_lik", "log_prior", "g") + tuple(hooks):
+        attrs[name] = staticmethod(getattr(inner, name))
+    return type("Wrapped", (), attrs)()
+
+
+def _normal_case():
+    x = np.random.default_rng(3).normal(1.0, 2.0, size=40)
+    return NormalMeanModel(prior_sd=3.0), Dataset(x), (), np.array([0.7])
+
+
+def _poisson_case():
+    # The default start (the origin) is a zero rate, outside the domain, so
+    # every Poisson wrapper keeps the model's start points.
+    y = np.random.default_rng(4).poisson(3.0, size=40)
+    return (PoissonGammaConjugateModel(2.0, 1.0), Dataset(y),
+            ("map_init", "mh_init"), np.array([2.5]))
+
+
+class TestHookCombinations:
+    """Each optional hook falls back on its own: a model with only the
+    required attributes, or with score or hessian alone, gives the fully
+    hooked model's results to finite-difference accuracy."""
+
+    @pytest.mark.parametrize("case", [_normal_case, _poisson_case], ids=["normal", "poisson"])
+    @pytest.mark.parametrize("extra", [(), ("score",), ("hessian",)],
+                             ids=["bare", "score", "hessian"])
+    def test_matches_fully_hooked_model(self, case, extra):
+        full, data, starts, theta = case()
+        model = _wrap(full, starts + extra)
+
+        fit, want = map_optimize(model, data), map_optimize(full, data)
+        assert fit.converged
+        for name in ("theta_hat", "info_hat", "score_cov_hat"):
+            np.testing.assert_allclose(getattr(fit, name), getattr(want, name), rtol=1e-6)
+        np.testing.assert_allclose(sandwich_covariance(fit, model).v,
+                                   sandwich_covariance(want, full).v, rtol=1e-6)
+
+        draws = theta + np.linspace(-0.3, 0.3, 5)[:, None]
+        np.testing.assert_allclose(log_lik_matrix(model, data, draws),
+                                   log_lik_matrix(full, data, draws), rtol=1e-12)
+        w = np.random.default_rng(5).uniform(0.0, 2.0, size=data.n)
+        assert weighted_log_posterior(model, data, w, theta) == pytest.approx(
+            weighted_log_posterior(full, data, w, theta), rel=1e-12)
+
+        s = sample_posterior(model, data, cfg=ChainConfig(m_draws=200, rng_seed=1),
+                             method="mh")
+        np.testing.assert_array_equal(s.g_values, s.draws)
+
+    def test_present_hook_is_used_exactly(self):
+        """A score hook without hessian, or a hessian hook without score, is
+        still read: those sums equal the fully hooked model's bit for bit."""
+        full, data, _, theta = _normal_case()
+        assert np.array_equal(score_sum(_wrap(full, ("score",)), data, theta),
+                              score_sum(full, data, theta))
+        assert np.array_equal(hessian_sum(_wrap(full, ("hessian",)), data, theta),
+                              hessian_sum(full, data, theta))
+
+
+class TestBcltHooks:
+    def test_missing_grid_hook_refused_before_compute(self, monkeypatch):
+        full, data, _, _ = _normal_case()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("map_optimize ran before the hook check")
+
+        monkeypatch.setattr(ijcov.diagnostics, "map_optimize", no_fit)
+        with pytest.raises(ValueError, match="needs a sum_loglik_grid hook"):
+            bclt_expansion_check([(full, data), (_wrap(full), data)],
+                                 lambda t: t, lambda t: 1.0, lambda t: 0.0)
+
+    def test_prior_hessian_hook_not_required(self):
+        full, data, _, _ = _normal_case()
+        model = _wrap(full, ("sum_loglik_grid",))
+        args = (lambda t: t**2, lambda t: 2.0 * t, lambda t: 2.0)
+        got = bclt_expansion_check([(model, data)], *args)
+        want = bclt_expansion_check([(full, data)], *args)
+        np.testing.assert_allclose(got.posterior_means, want.posterior_means, rtol=1e-9)
+        np.testing.assert_allclose(got.corrections, want.corrections, rtol=1e-5)
