@@ -40,7 +40,6 @@ from .estimators import (
 )
 from .io import SCHEMA_VERSION, cov_from_dict, cov_to_dict, write_csv, write_json
 from .mc_error import block_bootstrap_se, delta_method_boot_se, delta_metrics, z_matrix
-from .models import Dataset
 from .reference import (
     NormalMeanModel,
     PoissonGammaREModel,
