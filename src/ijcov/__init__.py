@@ -16,7 +16,6 @@ from .diagnostics import (
     GroupedExpFamilyTerms,
     GroupedExpFamilyView,
     KappaRho,
-    PoissonAnalytic,
     bclt_expansion_check,
     diagnose,
     empirical_group_moments,
@@ -24,7 +23,6 @@ from .diagnostics import (
     ml_matrices_from_chain,
     poisson_re_truth_moments,
     poisson_re_view,
-    raw_second_moment_blocks,
 )
 from .errors import DimensionMismatchError, IngestError, NumericalError
 from .estimators import (
@@ -78,7 +76,6 @@ __all__ = [
     "MapFit",
     "NormalMeanModel",
     "NumericalError",
-    "PoissonAnalytic",
     "PoissonGammaConjugateModel",
     "PoissonGammaREModel",
     "PosteriorSample",
@@ -106,7 +103,6 @@ __all__ = [
     "ones_weights",
     "poisson_re_truth_moments",
     "poisson_re_view",
-    "raw_second_moment_blocks",
     "run_experiment",
     "sample_posterior",
     "sandwich_covariance",

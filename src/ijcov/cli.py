@@ -6,7 +6,7 @@ bclt-check, experiment, report.  Global flags (before the subcommand):
 (or the IJCOV_THREADS env var), --format {csv,json}.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure (for
-example a singular sandwich fit or a divergent quadrature).
+example a failed bootstrap replicate or a divergent quadrature).
 """
 
 from __future__ import annotations
@@ -259,7 +259,12 @@ def bootstrap(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin
               required=True)
 @click.pass_context
 def sandwich(ctx, model, g_count, alpha, beta, known_sd, data_path):
-    """MAP sandwich covariance (exits 2 on a singular fit)."""
+    """MAP sandwich covariance (refuses poisson_re, whose fit is singular)."""
+    if model == "poisson_re":
+        raise ValueError(
+            "sandwich is undefined for poisson_re: gamma and each lambda_g enter the "
+            "likelihood only through their sum, so the information is singular"
+        )
     mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     est = sandwich_covariance(map_optimize(mdl, data), mdl)
@@ -324,7 +329,7 @@ def diagnose(ctx, data_path, draws_path, g_count, alpha, beta, ij_se):
         "kappa_hat": terms.kappa_hat,
         "resid_t1_hat": terms.resid_t1_hat,
         "per_group_trace": terms.per_group_trace.tolist(),
-        "rho_nn_mean": float(terms.rho_nn.mean()),
+        "rho_nn_mean": terms.rho_bar,
         "predicted_bias": flag,
     }
     _save(ctx, "diagnostics", payload, ["group", "trace"],

@@ -48,12 +48,10 @@ __all__ = [
     "GroupedExpFamilyView",
     "GroupedExpFamilyTerms",
     "KappaRho",
-    "PoissonAnalytic",
     "poisson_re_view",
     "poisson_re_truth_moments",
     "empirical_group_moments",
     "ml_matrices_from_chain",
-    "raw_second_moment_blocks",
     "kappa_and_rho",
     "diagnose",
     "BcltCheck",
@@ -211,14 +209,6 @@ def empirical_group_moments(view: GroupedExpFamilyView) -> tuple[np.ndarray, np.
     return m, s
 
 
-def _gammas_and_gbar(sample: PosteriorSample, view, g_col: int):
-    gammas = np.array(
-        [view.gamma_from_draw(row) for row in sample.draws], dtype=np.float64
-    )
-    gbar = sample.g_values[:, g_col] - sample.g_values[:, g_col].mean()
-    return gammas, gbar
-
-
 def ml_matrices_from_chain(
     sample: PosteriorSample,
     view: GroupedExpFamilyView,
@@ -257,7 +247,8 @@ def ml_matrices_from_chain(
     m_draws = sample.m
     g, d = view.g_count, view.y_dim
     n = view.n
-    gammas, gbar = _gammas_and_gbar(sample, view, g_col)
+    gammas = np.array([view.gamma_from_draw(row) for row in sample.draws], dtype=np.float64)
+    gbar = sample.g_values[:, g_col] - sample.g_values[:, g_col].mean()
 
     if path == "closed_form":
         mu, j = view.conditional_moments(gammas)
@@ -288,27 +279,6 @@ def ml_matrices_from_chain(
     m_flat = (mu_c * gbar[:, None]).T @ mu_c
     m_blocks = n**2 * m_flat.reshape(g, d, g, d).transpose(0, 2, 1, 3) / m_draws
     return m_blocks, l_blocks
-
-
-def raw_second_moment_blocks(
-    sample: PosteriorSample, view: GroupedExpFamilyView, *, g_col: int = 0
-) -> np.ndarray:
-    """Direct chain estimate of E_post[ gbar * etabar etabar^T ] as
-    (G x G x y_dim x y_dim) blocks, with eta evaluated draw by draw.
-
-    For g measurable with respect to the global parameter this equals
-    L / N + M / N^2, which the closed-form path computes without touching
-    the local draws; the two routes validate each other.
-    """
-    m_draws = sample.m
-    g, d = view.g_count, view.y_dim
-    _, gbar = _gammas_and_gbar(sample, view, g_col)
-    eta = np.empty((m_draws, g, d))
-    for m_idx, row in enumerate(sample.draws):
-        eta[m_idx] = view.eta_from_draw(row)
-    eta_c = (eta - eta.mean(axis=0, keepdims=True)).reshape(m_draws, g * d)
-    blocks = (eta_c * gbar[:, None]).T @ eta_c / m_draws
-    return blocks.reshape(g, d, g, d).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -398,17 +368,14 @@ def kappa_and_rho(
 
 
 @dataclass
-class GroupedExpFamilyTerms:
-    """Everything the grouped diagnostics produce for one fitted model."""
+class GroupedExpFamilyTerms(KappaRho):
+    """Everything the grouped diagnostics produce for one fitted model: the
+    scalar diagnostics plus the moments and M/L blocks they came from."""
 
     m_g: np.ndarray
     s_g: np.ndarray
     m_blocks: np.ndarray
     l_blocks: np.ndarray
-    kappa_hat: float
-    per_group_trace: np.ndarray
-    rho_nn: np.ndarray
-    resid_t1_hat: float
 
 
 def diagnose(
@@ -435,78 +402,13 @@ def diagnose(
     m_blocks, l_blocks = ml_matrices_from_chain(
         sample, view, g_col=g_col, path=path, cond_draws=cond_draws, seed=seed
     )
-    kr = kappa_and_rho(view, m_g, s_g, l_blocks)
     return GroupedExpFamilyTerms(
+        **vars(kappa_and_rho(view, m_g, s_g, l_blocks)),
         m_g=np.asarray(m_g, dtype=np.float64),
         s_g=np.asarray(s_g, dtype=np.float64),
         m_blocks=m_blocks,
         l_blocks=l_blocks,
-        kappa_hat=kr.kappa_hat,
-        per_group_trace=kr.per_group_trace,
-        rho_nn=kr.rho_nn,
-        resid_t1_hat=kr.resid_t1_hat,
     )
-
-
-@dataclass
-class PoissonAnalytic:
-    """Closed-form diagnostic ingredients for the balanced Poisson
-    random-effects model, in the multiplicative parameterization
-    gamma0 = exp(gamma).
-
-    ``rho_g`` are per-group mean responses and ``v_g`` the per-group response
-    variances (for Poisson data at the truth, v_g = rho_g; for observed data,
-    plug in the empirical group means/variances).  ``n_per_group`` is the
-    common group size.
-    """
-
-    alpha: float
-    beta: float
-    gamma0: float
-    n_per_group: float
-    rho_g: np.ndarray
-    v_g: np.ndarray
-
-    def __post_init__(self):
-        self.rho_g = np.asarray(self.rho_g, dtype=np.float64).reshape(-1)
-        self.v_g = np.asarray(self.v_g, dtype=np.float64).reshape(-1)
-        if self.rho_g.shape != self.v_g.shape:
-            raise ValueError("rho_g and v_g must have the same length")
-        if self.gamma0 <= 0 or self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha, beta, gamma0 must be positive")
-
-    def _ab(self):
-        a = self.alpha + self.n_per_group * self.rho_g
-        b = self.beta + self.n_per_group * self.gamma0
-        return a, b
-
-    def mu(self) -> np.ndarray:
-        """Conditional means of eta_g given the global parameter, (G, 2)."""
-        a, b = self._ab()
-        return np.column_stack(
-            [math.log(self.gamma0) + special_digamma(a) - math.log(b),
-             -self.gamma0 * a / b]
-        )
-
-    def j_gg(self) -> np.ndarray:
-        """Conditional covariances of eta_g, (G, 2, 2)."""
-        a, b = self._ab()
-        g = a.size
-        j = np.empty((g, 2, 2))
-        j[:, 0, 0] = special_trigamma(a)
-        j[:, 0, 1] = j[:, 1, 0] = -self.gamma0 / b
-        j[:, 1, 1] = self.gamma0**2 * a / b**2
-        return j
-
-    def m_s(self) -> tuple[np.ndarray, np.ndarray]:
-        """Within-group moments of ytil = (y, 1): m_g and S_g, from rho/v."""
-        g = self.rho_g.size
-        m = np.column_stack([self.rho_g, np.ones(g)])
-        s = np.empty((g, 2, 2))
-        s[:, 0, 0] = self.v_g + self.rho_g**2
-        s[:, 0, 1] = s[:, 1, 0] = self.rho_g
-        s[:, 1, 1] = 1.0
-        return m, s
 
 
 @dataclass

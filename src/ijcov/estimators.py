@@ -1,13 +1,17 @@
-"""The four covariance estimators and the influence scores they share.
+"""The four covariance estimators and the chain statistics they share.
 
 All estimators report on the sqrt(N) scale, so their outputs are directly
 comparable: the influence-score covariance (over datapoints), N times the
 posterior covariance of g (Bayes), the covariance of sqrt(N) times bootstrap
 replicate means, and the sandwich at the MAP.
 
-Divisor conventions (documented because they matter at desk scale): M-1 over
-draws, N-1 over datapoints, B-1 over bootstrap replicates, N for the score
-covariance inside the sandwich.
+Divisor conventions (they matter at desk scale) live in two helpers.
+`_BlockSums`, the one place a chain is centered, gives the influence scores
+and the Bayes covariance with divisor M-1 over draws, for the whole chain
+and for each block-bootstrap replicate of :mod:`ijcov.mc_error`.
+`_row_cov` divides by rows - ddof: N-1 over influence scores, B-1 and R-1
+over bootstrap and ground-truth replicates, N^N for the exhaustive
+bootstrap.  The sandwich's score covariance uses divisor N.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class InfluenceMatrix:
     def n(self) -> int:
         return self.psi.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.psi.shape[1]
-
 
 @dataclass
 class CovEstimate:
@@ -100,37 +100,79 @@ class CovEstimate:
         return dataclasses.replace(self, se=se)
 
 
+class _BlockSums:
+    """Per-block sums of a chain centered at its full-chain means: sum g,
+    sum g g^T and, with the log-likelihood, sum ll and sum ll g^T (blocks x N
+    x q; N = 0 without).  Block b is the row slice [bounds[b], bounds[b+1]);
+    blocks are centered one at a time, so no M x N copy beyond one block is
+    made.  A chain that takes block b counts[b] times has the counts-weighted
+    totals as its draw sums, so a block-bootstrap resample is never built,
+    and the whole chain is one block taken once."""
+
+    def __init__(self, sample: PosteriorSample, bounds, with_loglik: bool):
+        self.n_data = sample.n_data
+        self.lengths = np.diff(bounds)
+        g_mean = sample.g_values.mean(axis=0)
+        ll_mean = sample.loglik.mean(axis=0) if with_loglik else None
+        sums = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            g = sample.g_values[a:b] - g_mean
+            ll = sample.loglik[a:b] - ll_mean if with_loglik else np.empty((b - a, 0))
+            sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
+        self.s_g, self.s_gg, self.s_l, self.s_lg = map(np.array, zip(*sums))
+
+    def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
+        """`statistic` on the chain taking block b counts[b] times: "psi"
+        (N x q influence scores), "ij_cov" (their row covariance),
+        "bayes_cov", or "mean_g", which comes out centered at the chain mean
+        (its spread is unchanged).  With m = counts . lengths draws, the
+        draw covariances use divisor m-1 and are scaled by N."""
+        m = counts @ self.lengths
+        g_bar = counts @ self.s_g / m
+        if statistic == "mean_g":
+            return g_bar
+        if statistic == "bayes_cov":
+            s_gg = np.tensordot(counts, self.s_gg, axes=1)
+            return self.n_data * (s_gg - m * np.outer(g_bar, g_bar)) / (m - 1)
+        l_bar = counts @ self.s_l / m
+        s_lg = np.tensordot(counts, self.s_lg, axes=1)
+        psi = self.n_data * (s_lg - m * np.outer(l_bar, g_bar)) / (m - 1)
+        return psi if statistic == "psi" else _row_cov(psi)
+
+
+def _row_cov(x: np.ndarray, ddof: int = 1) -> np.ndarray:
+    """Covariance of the rows of x about their mean, divisor rows - ddof."""
+    c = x - x.mean(axis=0)
+    return c.T @ c / (x.shape[0] - ddof)
+
+
+def _whole_chain(sample: PosteriorSample, statistic: str) -> np.ndarray:
+    """`statistic` of `_BlockSums` on the whole chain, one block taken once."""
+    if sample.m < 2:
+        raise ValueError("need at least 2 draws")
+    sums = _BlockSums(sample, [0, sample.m], with_loglik=statistic == "psi")
+    return sums.statistic(np.ones(1, dtype=np.int64), statistic)
+
+
 def influence_scores(sample: PosteriorSample) -> InfluenceMatrix:
     """psi_n = N * sample covariance (divisor M-1) between log-lik column n
     and each g column; shape (N, q)."""
     if sample.loglik is None:
         raise ValueError("sample has no log-likelihood matrix")
-    m = sample.m
-    if m < 2:
-        raise ValueError("need at least 2 draws")
-    ll_c = sample.loglik - sample.loglik.mean(axis=0, keepdims=True)
-    g_c = sample.g_values - sample.g_values.mean(axis=0, keepdims=True)
-    psi = sample.n_data * (ll_c.T @ g_c) / (m - 1)
-    return InfluenceMatrix(psi)
+    return InfluenceMatrix(_whole_chain(sample, "psi"))
 
 
 def ij_covariance(psi: InfluenceMatrix) -> CovEstimate:
     """Sample covariance of the influence-score rows (divisor N-1)."""
     if psi.n < 2:
         raise ValueError("need at least 2 datapoints")
-    centered = psi.psi - psi.psi.mean(axis=0, keepdims=True)
-    v = centered.T @ centered / (psi.n - 1)
-    return CovEstimate(v=v, method="ij", b_or_m=psi.n)
+    return CovEstimate(v=_row_cov(psi.psi), method="ij", b_or_m=psi.n)
 
 
 def bayes_covariance(sample: PosteriorSample) -> CovEstimate:
     """N times the posterior covariance of g (divisor M-1), so the estimate
     lives on the same sqrt(N) scale as the other three."""
-    if sample.m < 2:
-        raise ValueError("need at least 2 draws")
-    g_c = sample.g_values - sample.g_values.mean(axis=0, keepdims=True)
-    v = sample.n_data * (g_c.T @ g_c) / (sample.m - 1)
-    return CovEstimate(v=v, method="bayes", b_or_m=sample.m)
+    return CovEstimate(v=_whole_chain(sample, "bayes_cov"), method="bayes", b_or_m=sample.m)
 
 
 def map_replicates(fn, tasks, threads: int) -> list:
@@ -184,9 +226,7 @@ def bootstrap_covariance(
         raise ValueError("need at least 2 bootstrap replicates")
     tasks = [(model, data, cfg, seed, rep, method) for rep in range(b)]
     means = np.asarray(map_replicates(_bootstrap_replicate, tasks, threads), dtype=np.float64)
-    t = math.sqrt(data.n) * means
-    t_c = t - t.mean(axis=0, keepdims=True)
-    v = t_c.T @ t_c / (b - 1)
+    v = _row_cov(math.sqrt(data.n) * means)
     return CovEstimate(v=v, method="boot", b_or_m=b), means
 
 
@@ -205,10 +245,8 @@ def bootstrap_covariance_exhaustive(data: Dataset, functional, *, max_n: int = 6
     for idx in itertools.product(range(n), repeat=n):
         w = np.bincount(np.asarray(idx), minlength=n).astype(np.float64)
         values.append(np.atleast_1d(np.asarray(functional(w), dtype=np.float64)))
-    t = math.sqrt(n) * np.asarray(values)
-    t_c = t - t.mean(axis=0, keepdims=True)
-    v = t_c.T @ t_c / t.shape[0]
-    return CovEstimate(v=v, method="boot", b_or_m=t.shape[0])
+    v = _row_cov(math.sqrt(n) * np.asarray(values), ddof=0)
+    return CovEstimate(v=v, method="boot", b_or_m=len(values))
 
 
 def sandwich_covariance(fit: MapFit, model) -> CovEstimate:

@@ -31,6 +31,7 @@ from .diagnostics import diagnose, poisson_re_view
 from .errors import NumericalError, StageError
 from .estimators import (
     CovEstimate,
+    _row_cov,
     bayes_covariance,
     bootstrap_covariance,
     ij_covariance,
@@ -250,8 +251,8 @@ def _gt_replicate(args):
         raise NumericalError(f"ground-truth replicate {rep} failed: {exc}") from exc
 
 
-def _fourth_moment_se(t: np.ndarray) -> np.ndarray:
-    """Entrywise SE of the sample covariance of rows of t (R x q).
+def _fourth_moment_se(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Entrywise SE of the sample covariance s of rows of t (R x q).
 
     Var(s_ij) is estimated by (m22_ij - (R-3)/(R-1) s_ij^2) / R with m22 the
     central (2,2) cross moment; for a diagonal entry this is the classical
@@ -259,7 +260,6 @@ def _fourth_moment_se(t: np.ndarray) -> np.ndarray:
     """
     r = t.shape[0]
     tc = t - t.mean(axis=0, keepdims=True)
-    s = tc.T @ tc / (r - 1)
     m22 = np.einsum("ri,rj->ij", tc**2, tc**2) / r
     var = (m22 - (r - 3.0) / (r - 1.0) * s**2) / r
     return np.sqrt(np.clip(var, 0.0, None))
@@ -306,13 +306,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         tasks = [(cfg, model, theta_true, rep) for rep in range(cfg.r_ground_truth)]
         gt_means = map_replicates(_gt_replicate, tasks, cfg.threads)
         t = math.sqrt(cfg.n) * np.asarray(gt_means)
-        tc = t - t.mean(axis=0, keepdims=True)
-        v_sim = CovEstimate(
-            v=tc.T @ tc / (t.shape[0] - 1),
-            method="sim",
-            se=_fourth_moment_se(t),
-            b_or_m=t.shape[0],
-        )
+        v = _row_cov(t)
+        v_sim = CovEstimate(v=v, method="sim", se=_fourth_moment_se(t, v), b_or_m=t.shape[0])
 
     with _Stage("metrics", timings):
         z = z_matrix(v_ij, v_boot)

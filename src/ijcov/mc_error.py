@@ -4,9 +4,10 @@ Two mechanisms:
 
 * a block bootstrap over retained draws, for statistics computed from one
   chain (the Bayes and IJ covariances inherit MCMC noise from the draws).
-  The chain is summed once per block; a replicate only reweights those
-  block sums by how often it drew each block, so no resampled chain is
-  ever built and memory stays O(blocks * N * q);
+  Each replicate evaluates the statistic with the chain-statistics core of
+  :mod:`ijcov.estimators`, which also computes the full-chain estimates and
+  holds their divisors: the chain is summed once per block, and a replicate
+  only reweights those block sums by how often it drew each block;
 * a delta-method SE for the bootstrap covariance, propagating the B-replicate
   scatter of (t_i t_j, t_i, t_j) through h(m11, m10, m01) = m11 - m10 * m01.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovEstimate
+from .estimators import CovEstimate, _BlockSums
 from .rng import KIND_BLOCK_BOOT, stream
 from .samplers import PosteriorSample, ess
 
@@ -54,43 +55,6 @@ class SEMatrix:
             raise ValueError("SE entries must be finite and nonnegative")
 
 
-class _BlockSums:
-    """Per-block sums of the chain centered at its full-chain means: sum g,
-    sum g g^T and, with the log-likelihood, sum ll and sum ll g^T (blocks x N
-    x q; N = 0 without).  A resample that takes block b c_b times has the
-    c-weighted totals as its draw sums, so no resampled chain is built.
-    Blocks are centered one at a time, so no M x N copy is made."""
-
-    def __init__(self, sample: PosteriorSample, segments: list, with_loglik: bool):
-        self.n_data = sample.n_data
-        self.lengths = np.array([len(s) for s in segments])
-        g_mean = sample.g_values.mean(axis=0)
-        ll_mean = sample.loglik.mean(axis=0) if with_loglik else None
-        sums = []
-        for s in segments:
-            g = sample.g_values[s] - g_mean
-            ll = sample.loglik[s] - ll_mean if with_loglik else np.empty((len(s), 0))
-            sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
-        self.s_g, self.s_gg, self.s_l, self.s_lg = map(np.array, zip(*sums))
-
-    def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
-        """The statistic on the resample taking block b counts[b] times, with
-        the divisors of `bayes_covariance` and `ij_covariance`; mean_g comes
-        out centered at the chain mean, which leaves its spread unchanged."""
-        m = counts @ self.lengths
-        g_bar = counts @ self.s_g / m
-        if statistic == "mean_g":
-            return g_bar
-        if statistic == "bayes_cov":
-            s_gg = np.tensordot(counts, self.s_gg, axes=1)
-            return self.n_data * (s_gg - m * np.outer(g_bar, g_bar)) / (m - 1)
-        l_bar = counts @ self.s_l / m
-        s_lg = np.tensordot(counts, self.s_lg, axes=1)
-        psi = self.n_data * (s_lg - m * np.outer(l_bar, g_bar)) / (m - 1)
-        psi -= psi.mean(axis=0)
-        return psi.T @ psi / (self.n_data - 1)
-
-
 def block_bootstrap_se(
     sample: PosteriorSample,
     statistic: str = "bayes_cov",
@@ -104,10 +68,9 @@ def block_bootstrap_se(
     Splits the chain into `blocks` contiguous blocks (np.array_split), draws
     blocks with replacement, evaluates the statistic on the resample, and
     reports the entrywise SD (divisor reps-1) over replicates.  The
-    resample is never built: the chain is centered at its means and summed
-    once per block, and a replicate weights those sums by its block counts
-    (bincount of the picks); memory stays O(blocks * N * q).  The
-    default block count max(20, M // (10 * tau_hat)) keeps blocks a few
+    resample is never built: a replicate weights the per-block sums by its
+    block counts (bincount of the picks); memory stays O(blocks * N * q).
+    The default block count max(20, M // (10 * tau_hat)) keeps blocks a few
     autocorrelation times long; a warning fires when blocks end up shorter
     than 5 * tau_hat.
     """
@@ -135,8 +98,10 @@ def block_bootstrap_se(
             f"blocks must lie in [2, M // 2] = [2, {m // 2}], got {blocks}"
         )
 
-    segments = np.array_split(np.arange(m), blocks)
-    min_len = min(len(s) for s in segments)
+    # np.array_split's blocks: the first m % blocks are one draw longer
+    min_len, longer = divmod(m, blocks)
+    k = np.arange(blocks + 1)
+    bounds = k * min_len + np.minimum(k, longer)
     if min_len < 5.0 * tau:
         warnings.warn(
             f"shortest block ({min_len} draws) is under 5 estimated "
@@ -145,7 +110,7 @@ def block_bootstrap_se(
             RuntimeWarning,
         )
 
-    sums = _BlockSums(sample, segments, with_loglik=statistic == "ij_cov")
+    sums = _BlockSums(sample, bounds, with_loglik=statistic == "ij_cov")
     rng = stream(seed, KIND_BLOCK_BOOT)
     values = []
     for _ in range(reps):

@@ -29,9 +29,11 @@ below, each of which falls back on its own when its hook is missing:
 
 Every fallback derivative is one central difference, :func:`fd_jacobian`,
 with coordinate i moved by 1e-4 * (1 + |theta_i|); Hessians are
-symmetrized.  Hooks read by one routine only stay with that routine in
-``diagnostics``: ``loglik_d3``/``prior_d3`` (third derivatives of 1-D
-models, else a 4-point difference), ``log_prior_vector`` and ``domain_low``.
+symmetrized.  A start outside the domain that came from the origin
+fallback is reported with the name of the missing start hook.  Hooks read
+by one routine only stay with that routine in ``diagnostics``:
+``loglik_d3``/``prior_d3`` (third derivatives of 1-D models, else a
+4-point difference), ``log_prior_vector`` and ``domain_low``.
 ``bclt_expansion_check`` requires ``sum_loglik_grid(data, thetas)`` (sum_n
 log_lik over a 1-D grid) and refuses a model without it.
 
@@ -195,6 +197,11 @@ def start_point(model, data: Dataset, hook: str) -> np.ndarray:
     if hasattr(model, hook):
         return np.asarray(getattr(model, hook)(data), dtype=np.float64).copy()
     return np.zeros(model.dim)
+
+
+def _origin_start_note(model, hook: str) -> str:
+    """Error-message clause naming `hook` when start_point fell back to the origin."""
+    return "" if hasattr(model, hook) else f" (the start is the origin: no {hook} hook)"
 
 
 def score_matrix(model, data: Dataset, theta) -> np.ndarray:

@@ -13,7 +13,7 @@ kind  used by
 2     ground-truth replicates
 3     block-bootstrap resampling
 4     data simulation
-5     MH initialization
+5     reserved (unused, never reassigned)
 6     conditional draws (diagnostics fallback)
 ====  =======================================
 """
@@ -28,7 +28,6 @@ KIND_BOOT = 1
 KIND_GROUND_TRUTH = 2
 KIND_BLOCK_BOOT = 3
 KIND_SIMULATE = 4
-KIND_MH_INIT = 5
 KIND_COND_DRAWS = 6
 
 

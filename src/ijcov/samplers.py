@@ -38,8 +38,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .models import (
-    Dataset, g_matrix, hessian_sum, log_lik_matrix, ones_weights, prior_hessian, prior_score,
-    score_matrix, score_sum, start_point, validate_weights, weighted_log_posterior,
+    Dataset, _origin_start_note, g_matrix, hessian_sum, log_lik_matrix, ones_weights,
+    prior_hessian, prior_score, score_matrix, score_sum, start_point, validate_weights,
+    weighted_log_posterior,
 )
 from .reference import (
     NormalMeanModel,
@@ -66,17 +67,14 @@ class ChainConfig:
     ``m_draws`` counts total sampler iterations; Markov samplers discard
     ``burn_in`` of them (default m_draws // 2) and keep every ``thin``-th of
     the remainder, which must leave at least 2 retained draws.  Exact IID
-    samplers ignore burn_in/thin.  ``adapt=False`` freezes the MH step at
-    ``mh_step_scale`` (used by bootstrap replicates reusing an adapted step).
+    samplers ignore burn_in/thin.
     """
 
     m_draws: int
     burn_in: int | None = None
     thin: int = 1
     rng_seed: Any = 0
-    mh_step_scale: float = 0.5
     init: Any = "auto"
-    adapt: bool = True
 
     def __post_init__(self):
         if self.m_draws < 2:
@@ -85,8 +83,6 @@ class ChainConfig:
             raise ValueError("thin must be >= 1")
         if self.burn_in is not None and not (0 <= self.burn_in < self.m_draws):
             raise ValueError("burn_in must lie in [0, m_draws)")
-        if self.mh_step_scale <= 0:
-            raise ValueError("mh_step_scale must be positive")
 
     @property
     def resolved_burn_in(self) -> int:
@@ -279,10 +275,16 @@ def _gibbs_poisson_re(model: PoissonGammaREModel, data, w, cfg, rng) -> np.ndarr
     return draws[:k]
 
 
+# Random-walk Metropolis step at the start of burn-in, before adaptation.
+_MH_START_STEP = 0.5
+
+
 def _mh_chain(model, data, w, cfg, rng):
     d = model.dim
+    note = ""
     if isinstance(cfg.init, str) and cfg.init == "auto":
         theta = start_point(model, data, "mh_init")
+        note = _origin_start_note(model, "mh_init")
     else:
         theta = np.asarray(cfg.init, dtype=np.float64).reshape(-1).copy()
         if theta.size != d:
@@ -290,10 +292,10 @@ def _mh_chain(model, data, w, cfg, rng):
 
     logp = weighted_log_posterior(model, data, w, theta)
     if not math.isfinite(logp):
-        raise NumericalError("MH initialization has zero posterior density")
+        raise NumericalError("MH initialization has zero posterior density" + note)
 
     target = 0.44 if d == 1 else 0.23
-    step = cfg.mh_step_scale
+    step = _MH_START_STEP
     burn = cfg.resolved_burn_in
     m_ret = cfg.retained()
     draws = np.empty((m_ret, d))
@@ -305,7 +307,7 @@ def _mh_chain(model, data, w, cfg, rng):
         accept = math.log(max(rng.random(), 1e-300)) < lp - logp
         if accept:
             theta, logp = prop, lp
-        if it < burn and cfg.adapt:
+        if it < burn:
             step = math.exp(
                 math.log(step) + (float(accept) - target) / (it + 1) ** 0.6
             )
@@ -364,7 +366,9 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
 
     f = objective(theta)
     if not math.isfinite(f):
-        raise NumericalError("MAP initialization outside the model domain")
+        raise NumericalError(
+            "MAP initialization outside the model domain" + _origin_start_note(model, "map_init")
+        )
 
     converged = False
     iters = 0

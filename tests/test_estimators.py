@@ -12,6 +12,7 @@ The two-draw hand example used throughout:
     V_Bayes = N * cov(g, ddof=1) = 2 * 8 = 16
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -172,6 +173,20 @@ class TestExhaustiveBootstrap:
     def test_large_n_refused(self):
         with pytest.raises(ValueError):
             bootstrap_covariance_exhaustive(Dataset(np.arange(9.0)), lambda w: np.zeros(1))
+
+    def test_bit_identical_to_population_formula(self):
+        """Divisor N^N, centered at the mean over all resamples."""
+        x = np.array([0.5, -1.0, 2.0, 3.5])
+
+        def f(w):
+            return np.array([np.average(x, weights=w), np.average(x**2, weights=w)])
+
+        v = bootstrap_covariance_exhaustive(Dataset(x), f)
+        t = 2.0 * np.array([f(np.bincount(idx, minlength=4).astype(np.float64))
+                            for idx in itertools.product(range(4), repeat=4)])
+        t_c = t - t.mean(axis=0, keepdims=True)
+        want = t_c.T @ t_c / 4**4
+        assert np.array_equal(v.v, 0.5 * (want + want.T))
 
 
 class TestBootstrapCovariance:

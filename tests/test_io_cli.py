@@ -638,13 +638,17 @@ class TestCliEstimators:
         want = sandwich_covariance(map_optimize(model, data), model).v[0, 0]
         assert float(out.strip().splitlines()[0]) == pytest.approx(want, rel=1e-12)
 
-    def test_sandwich_singular_fit_exits_2(self, capsys, poisson_files):
-        # flat direction gamma + c, lambda - c makes the RE Hessian singular
-        code, _, err = run_cli(capsys, "sandwich", "--model", "poisson_re",
-                               "--g-count", "3", "--alpha", "3.0", "--beta", "1.5",
-                               "--data", str(poisson_files["dataset"]))
-        assert code == 2
-        assert "numerical failure" in err
+    def test_sandwich_poisson_re_refused_before_compute(self, capsys, tmp_path):
+        # flat direction gamma + c, lambda - c makes the RE information
+        # singular, so the command refuses before reading the (here
+        # malformed) dataset
+        junk = tmp_path / "junk.csv"
+        junk.write_text("not a dataset\n")
+        code, out, err = run_cli(capsys, "sandwich", "--model", "poisson_re",
+                                 "--g-count", "3", "--data", str(junk))
+        assert code == 1 and out == ""
+        assert err.startswith("error: sandwich is undefined for poisson_re")
+        assert len(err.strip().splitlines()) == 1
 
     def test_bootstrap_smoke(self, capsys, poisson_files, tmp_path):
         code, out, _ = run_cli(

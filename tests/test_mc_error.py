@@ -16,6 +16,7 @@ from ijcov import (
     SimSpec,
     bayes_covariance,
     block_bootstrap_se,
+    bootstrap_covariance,
     delta_method_boot_se,
     delta_metrics,
     ij_covariance,
@@ -25,7 +26,7 @@ from ijcov import (
     simulate_poisson_re,
     z_matrix,
 )
-from ijcov.mc_error import _BlockSums
+from ijcov.estimators import _BlockSums
 from ijcov.rng import KIND_BLOCK_BOOT, stream
 
 
@@ -174,7 +175,8 @@ class TestBlockSumsAgainstResampling:
     def test_unit_counts_reproduce_full_chain_estimates(self, chain, blocks):
         sample = CHAINS[chain]()
         segments = np.array_split(np.arange(sample.m), blocks)
-        sums = _BlockSums(sample, segments, with_loglik=True)
+        bounds = np.cumsum([0] + [len(s) for s in segments])
+        sums = _BlockSums(sample, bounds, with_loglik=True)
         ones = np.ones(blocks, dtype=np.int64)
         for got, want in [
             (sums.statistic(ones, "bayes_cov"), bayes_covariance(sample).v),
@@ -186,6 +188,49 @@ class TestBlockSumsAgainstResampling:
         scale = np.abs(sample.g_values).max()
         np.testing.assert_allclose(sums.statistic(ones, "mean_g"), 0.0,
                                    atol=1e-12 * scale)
+
+
+def _sym(v):
+    """The symmetrization CovEstimate applies."""
+    return 0.5 * (v + v.T)
+
+
+def _centered(x):
+    return x - x.mean(axis=0, keepdims=True)
+
+
+class TestCoreAgainstDirectFormulas:
+    """The whole-chain estimates come from the block-sum core as one block
+    taken once, and the row covariances from one helper.  The textbook
+    formulas, written out here, must give the same bits."""
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_chain_estimates_bit_identical(self, chain):
+        s = CHAINS[chain]()
+        n, m = s.n_data, s.m
+        ll_c, g_c = _centered(s.loglik), _centered(s.g_values)
+        psi = n * (ll_c.T @ g_c) / (m - 1)
+        assert np.array_equal(influence_scores(s).psi, psi)
+        assert np.array_equal(bayes_covariance(s).v, _sym(n * (g_c.T @ g_c) / (m - 1)))
+        psi_c = _centered(psi)
+        assert np.array_equal(ij_covariance(influence_scores(s)).v,
+                              _sym(psi_c.T @ psi_c / (n - 1)))
+
+    @pytest.mark.parametrize("method", ["exact", "gibbs", "mh"])
+    def test_bootstrap_bit_identical(self, method):
+        if method == "exact":
+            model = NormalMeanModel(known_sd=1.0)
+            data = simulate_misspecified_normal(40, "laplace", seed=2)
+        else:
+            spec = SimSpec(n=30, g_count=3, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=3)
+            data, _ = simulate_poisson_re(spec)
+            model = PoissonGammaREModel(group_count=3, alpha=25.0, beta=2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est, means = bootstrap_covariance(model, data, ChainConfig(m_draws=200), 12, seed=1,
+                                              method=method)
+        t_c = _centered(math.sqrt(data.n) * means)
+        assert np.array_equal(est.v, _sym(t_c.T @ t_c / (12 - 1)))
 
 
 class TestDeltaMethodSE:

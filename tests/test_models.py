@@ -215,6 +215,30 @@ class TestHookCombinations:
                               hessian_sum(full, data, theta))
 
 
+class TestMissingStartHook:
+    """A hook-free Poisson model starts at the origin, a zero rate outside
+    the domain; the refusal names the missing start hook."""
+
+    def test_map_optimize_names_map_init(self):
+        _, data, _, _ = _poisson_case()
+        with pytest.raises(NumericalError, match="outside the model domain.*no map_init hook"):
+            map_optimize(_wrap(PoissonGammaConjugateModel(2.0, 1.0)), data)
+
+    def test_mh_names_mh_init(self):
+        _, data, _, _ = _poisson_case()
+        with pytest.raises(NumericalError, match="zero posterior density.*no mh_init hook"):
+            sample_posterior(_wrap(PoissonGammaConjugateModel(2.0, 1.0)), data,
+                             cfg=ChainConfig(m_draws=200), method="mh")
+
+    def test_explicit_start_not_blamed_on_hook(self):
+        _, data, _, _ = _poisson_case()
+        bare = _wrap(PoissonGammaConjugateModel(2.0, 1.0))
+        with pytest.raises(NumericalError) as err:
+            sample_posterior(bare, data, cfg=ChainConfig(m_draws=200, init=[0.0]),
+                             method="mh")
+        assert str(err.value) == "MH initialization has zero posterior density"
+
+
 class TestBcltHooks:
     def test_missing_grid_hook_refused_before_compute(self, monkeypatch):
         full, data, _, _ = _normal_case()
