@@ -20,7 +20,6 @@ from .diagnostics import (
     diagnose,
     empirical_group_moments,
     kappa_and_rho,
-    ml_matrices_from_chain,
     poisson_re_truth_moments,
     poisson_re_view,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "kappa_and_rho",
     "log_lik_matrix",
     "map_optimize",
-    "ml_matrices_from_chain",
     "normal_influence_oracle",
     "ones_weights",
     "poisson_re_truth_moments",

@@ -78,7 +78,13 @@ def cli(ctx, seed, config_path, out_dir, threads, fmt):
     """Frequentist covariance of Bayesian posterior means from MCMC output."""
     if config_path is not None:
         with open(config_path) as fh:
-            ctx.default_map = json.load(fh)
+            defaults = json.load(fh)
+        sections = defaults.values() if isinstance(defaults, dict) else [defaults]
+        if not all(isinstance(v, dict) for v in sections):
+            raise IngestError(
+                f"{config_path}: --config must be a JSON object of per-subcommand objects"
+            )
+        ctx.default_map = defaults
     ctx.obj = {"seed": seed, "out": out_dir, "threads": threads, "format": fmt}
 
 
@@ -440,7 +446,10 @@ def experiment(ctx, model, n, g_count, gamma_true, alpha, beta, dist, scale, df,
 @click.pass_context
 def report(ctx, result_path):
     """Re-render tables and plot CSVs from a saved result (no recomputation)."""
-    result = ExperimentResult.from_dict(read_json(result_path))
+    try:
+        result = ExperimentResult.from_dict(read_json(result_path))
+    except ValueError as exc:
+        raise IngestError(f"{result_path}: {exc}") from exc
     out = ctx.obj["out"] or str(Path(result_path).parent)
     paths = emit_report(result, out)
     for p in paths:

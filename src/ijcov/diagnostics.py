@@ -8,17 +8,18 @@ whose per-datum likelihood is conditionally exponential-family,
     log p(y_n | theta) = ytil_n . eta_{a_n}(theta),
 
 with ytil_n the sufficient-statistic vector of datum n and eta_g the natural
-parameter of its group, the relevant objects are
+parameter of its group, the diagnostics need
 
     m_g, S_g    within-group first moment and second moment of ytil
                 (divisor n_g),
-    L_gh        N * E_post[ gbar * Cov(eta_g, eta_h | gamma, data) ],
-    M_gh        N^2 * E_post[ gbar * mubar_g mubar_h^T ],
+    L_gg        N * E_post[ gbar * Cov(eta_g | gamma, data) ],
 
-where gbar is the centered quantity of interest and mubar_g the centered
-conditional mean E[eta_g | gamma, data].  Conditional independence of the
-groups given the global parameter makes L block-diagonal on the closed-form
-path.  The headline scalar is
+where gbar is the centered quantity of interest.  The groups are
+conditionally independent given the global parameter, so L is
+block-diagonal and only its diagonal blocks are formed.  (The posterior
+second moment of eta also carries a conditional-mean term
+N^2 E_post[ gbar * mubar_g mubar_h^T ]; the diagnostics below do not use it.)
+The headline scalar is
 
     kappa_hat = (1/G) sum_g tr(S_g^{1/2} L_gg S_g^{1/2}),
 
@@ -37,9 +38,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .models import Dataset, hessian_sum, prior_hessian
-from .rng import KIND_COND_DRAWS, stream
 from .samplers import PosteriorSample, map_optimize
-from .special import special_digamma, special_trigamma
+from .special import special_trigamma
 
 # numpy 2 renamed trapz; support both without a deprecation warning.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -51,7 +51,7 @@ __all__ = [
     "poisson_re_view",
     "poisson_re_truth_moments",
     "empirical_group_moments",
-    "ml_matrices_from_chain",
+    "l_diag_from_chain",
     "kappa_and_rho",
     "diagnose",
     "BcltCheck",
@@ -66,11 +66,9 @@ class GroupedExpFamilyView:
     ``y`` holds the per-datum sufficient statistics (N x y_dim), ``groups``
     the group label of each datum.  ``eta_from_draw`` maps one parameter
     draw to the (G x y_dim) natural-parameter matrix and ``gamma_from_draw``
-    extracts the global parameter.  ``conditional_moments`` (when the model
-    admits closed forms) maps a length-M vector of global draws to the
-    conditional means (M x G x y_dim) and covariances (M x G x y_dim x y_dim)
-    of eta given gamma and the data; ``conditional_sampler(gamma, rng, size)``
-    is the sampling fallback returning (size x G x y_dim) eta draws.
+    extracts the global parameter.  ``conditional_cov`` maps a length-M
+    vector of global draws to the closed-form conditional covariances
+    (M x G x y_dim x y_dim) of eta given gamma and the data.
     """
 
     y: np.ndarray
@@ -78,8 +76,7 @@ class GroupedExpFamilyView:
     g_count: int
     eta_from_draw: Callable[[np.ndarray], np.ndarray]
     gamma_from_draw: Callable[[np.ndarray], float]
-    conditional_moments: Callable | None = None
-    conditional_sampler: Callable | None = None
+    conditional_cov: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
@@ -118,7 +115,8 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     Conditional on gamma and the data, u_g = exp(lambda_g) is
     Gamma(A_g, B_g) with A_g = alpha + sum_{n in g} y_n and
     B_g = beta + n_g e^gamma, giving closed-form conditional moments of
-    eta_g = (gamma + log u_g, -e^gamma u_g):
+    eta_g = (gamma + log u_g, -e^gamma u_g); the view computes the
+    covariance:
 
         E[eta_g | gamma]   = (gamma + psi(A_g) - log B_g, -e^gamma A_g / B_g)
         Cov[eta_g | gamma] = [[psi1(A_g),      -e^gamma / B_g          ],
@@ -130,30 +128,17 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     n_g = np.bincount(groups, minlength=g_count).astype(np.float64)
     sum_y = np.bincount(groups, weights=counts, minlength=g_count)
     a_g = model.alpha + sum_y
-    psi_a = special_digamma(a_g)
     psi1_a = special_trigamma(a_g)
 
-    def conditional_moments(gammas):
+    def conditional_cov(gammas):
         gam = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
         c = np.exp(gam)[:, None]
         b = model.beta + n_g[None, :] * c
-        mu = np.empty((gam.size, g_count, 2))
-        mu[:, :, 0] = gam[:, None] + psi_a[None, :] - np.log(b)
-        mu[:, :, 1] = -c * a_g[None, :] / b
         j = np.empty((gam.size, g_count, 2, 2))
         j[:, :, 0, 0] = psi1_a[None, :]
         j[:, :, 0, 1] = j[:, :, 1, 0] = -c / b
         j[:, :, 1, 1] = c**2 * a_g[None, :] / b**2
-        return mu, j
-
-    def conditional_sampler(gamma, rng, size):
-        c = math.exp(gamma)
-        b = model.beta + n_g * c
-        u = rng.gamma(np.broadcast_to(a_g, (size, g_count)), 1.0 / b[None, :])
-        eta = np.empty((size, g_count, 2))
-        eta[:, :, 0] = gamma + np.log(u)
-        eta[:, :, 1] = -c * u
-        return eta
+        return j
 
     def eta_from_draw(theta):
         s = theta[0] + theta[1:]
@@ -165,8 +150,7 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
         g_count=g_count,
         eta_from_draw=eta_from_draw,
         gamma_from_draw=lambda theta: float(theta[0]),
-        conditional_moments=conditional_moments,
-        conditional_sampler=conditional_sampler,
+        conditional_cov=conditional_cov,
     )
 
 
@@ -209,76 +193,20 @@ def empirical_group_moments(view: GroupedExpFamilyView) -> tuple[np.ndarray, np.
     return m, s
 
 
-def ml_matrices_from_chain(
-    sample: PosteriorSample,
-    view: GroupedExpFamilyView,
-    *,
-    g_col: int = 0,
-    path: str = "auto",
-    cond_draws: int = 64,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain estimates of the M and L block matrices (G x G x y_dim x y_dim).
+def l_diag_from_chain(
+    sample: PosteriorSample, view: GroupedExpFamilyView, *, g_col: int = 0
+) -> np.ndarray:
+    """Chain estimate of the diagonal L blocks, (G x y_dim x y_dim).
 
-    Expectations over the posterior use the plain draw average (divisor M)
-    with sample-mean centering of both g and the conditional means.  On the
-    closed-form path L is exactly block-diagonal (groups are conditionally
-    independent given the global parameter); the sampling fallback estimates
-    the conditional moments from ``cond_draws`` fresh eta draws per retained
-    draw and produces dense (noisy) off-diagonal blocks.
+    The posterior expectation is the plain draw average (divisor M) with g
+    centered at its sample mean.  The off-diagonal blocks are zero (the
+    groups are conditionally independent given the global parameter), so
+    they are never formed.
     """
-    if path not in ("auto", "closed_form", "sampling"):
-        raise ValueError(f"unknown path {path!r}")
-    if path == "auto":
-        if view.conditional_moments is not None:
-            path = "closed_form"
-        elif view.conditional_sampler is not None:
-            path = "sampling"
-        else:
-            raise ValueError(
-                "unsupported model: view has neither closed-form conditional "
-                "moments nor a conditional sampler"
-            )
-    if path == "closed_form" and view.conditional_moments is None:
-        raise ValueError("view has no closed-form conditional moments")
-    if path == "sampling" and view.conditional_sampler is None:
-        raise ValueError("view has no conditional sampler")
-
-    m_draws = sample.m
-    g, d = view.g_count, view.y_dim
-    n = view.n
     gammas = np.array([view.gamma_from_draw(row) for row in sample.draws], dtype=np.float64)
     gbar = sample.g_values[:, g_col] - sample.g_values[:, g_col].mean()
-
-    if path == "closed_form":
-        mu, j = view.conditional_moments(gammas)
-        mu = np.asarray(mu, dtype=np.float64)
-        j = np.asarray(j, dtype=np.float64)
-        l_diag = n * np.einsum("m,mgij->gij", gbar, j) / m_draws
-        l_blocks = np.zeros((g, g, d, d))
-        l_blocks[np.arange(g), np.arange(g)] = l_diag
-    else:
-        if cond_draws < 2:
-            raise ValueError("cond_draws must be >= 2")
-        rng = stream(seed, KIND_COND_DRAWS)
-        mu = np.empty((m_draws, g, d))
-        l_flat = np.zeros((g * d, g * d))
-        for m_idx in range(m_draws):
-            etas = np.asarray(
-                view.conditional_sampler(gammas[m_idx], rng, cond_draws),
-                dtype=np.float64,
-            )
-            mu[m_idx] = etas.mean(axis=0)
-            flat = (etas - mu[m_idx]).reshape(cond_draws, g * d)
-            l_flat += gbar[m_idx] * (flat.T @ flat) / (cond_draws - 1)
-        l_blocks = (
-            n * l_flat.reshape(g, d, g, d).transpose(0, 2, 1, 3) / m_draws
-        )
-
-    mu_c = (mu - mu.mean(axis=0, keepdims=True)).reshape(m_draws, g * d)
-    m_flat = (mu_c * gbar[:, None]).T @ mu_c
-    m_blocks = n**2 * m_flat.reshape(g, d, g, d).transpose(0, 2, 1, 3) / m_draws
-    return m_blocks, l_blocks
+    j = np.asarray(view.conditional_cov(gammas), dtype=np.float64)
+    return view.n * np.einsum("m,mgij->gij", gbar, j) / sample.m
 
 
 @dataclass
@@ -314,9 +242,10 @@ def kappa_and_rho(
     view: GroupedExpFamilyView,
     m_g: np.ndarray,
     s_g: np.ndarray,
-    l_blocks: np.ndarray,
+    l_diag: np.ndarray,
 ) -> KappaRho:
-    """The scalar diagnostics built from within-group moments and L.
+    """The scalar diagnostics built from within-group moments and the
+    diagonal L blocks (G x y_dim x y_dim).
 
     With ytil_ng = sqrt(G) [n in g] y_n - m_g / sqrt(G):
 
@@ -331,13 +260,9 @@ def kappa_and_rho(
     g, d = view.g_count, view.y_dim
     m_g = np.asarray(m_g, dtype=np.float64).reshape(g, d)
     s_g = np.asarray(s_g, dtype=np.float64).reshape(g, d, d)
-    l_blocks = np.asarray(l_blocks, dtype=np.float64)
-    if l_blocks.shape == (g, g, d, d):
-        l_diag = l_blocks[np.arange(g), np.arange(g)]
-    elif l_blocks.shape == (g, d, d):
-        l_diag = l_blocks
-    else:
-        raise ValueError("l_blocks must be (G,G,d,d) or (G,d,d)")
+    l_diag = np.asarray(l_diag, dtype=np.float64)
+    if l_diag.shape != (g, d, d):
+        raise ValueError(f"l_diag must be (G, d, d) = {(g, d, d)}, got {l_diag.shape}")
 
     root = _sqrt_psd(s_g, "S_g")
     inner = np.einsum("gij,gjk,gkl->gil", root, l_diag, root)
@@ -370,12 +295,12 @@ def kappa_and_rho(
 @dataclass
 class GroupedExpFamilyTerms(KappaRho):
     """Everything the grouped diagnostics produce for one fitted model: the
-    scalar diagnostics plus the moments and M/L blocks they came from."""
+    scalar diagnostics plus the moments and diagonal L blocks they came
+    from."""
 
     m_g: np.ndarray
     s_g: np.ndarray
-    m_blocks: np.ndarray
-    l_blocks: np.ndarray
+    l_diag: np.ndarray
 
 
 def diagnose(
@@ -384,11 +309,8 @@ def diagnose(
     *,
     moments="empirical",
     g_col: int = 0,
-    path: str = "auto",
-    cond_draws: int = 64,
-    seed: int = 0,
 ) -> GroupedExpFamilyTerms:
-    """One-call pipeline: moments, M/L matrices, kappa and rho.
+    """One-call pipeline: moments, diagonal L blocks, kappa and rho.
 
     ``moments`` is "empirical" or an explicit (m_g, S_g) pair (for
     known-truth centering in simulations).
@@ -399,15 +321,12 @@ def diagnose(
         m_g, s_g = empirical_group_moments(view)
     else:
         m_g, s_g = moments
-    m_blocks, l_blocks = ml_matrices_from_chain(
-        sample, view, g_col=g_col, path=path, cond_draws=cond_draws, seed=seed
-    )
+    l_diag = l_diag_from_chain(sample, view, g_col=g_col)
     return GroupedExpFamilyTerms(
-        **vars(kappa_and_rho(view, m_g, s_g, l_blocks)),
+        **vars(kappa_and_rho(view, m_g, s_g, l_diag)),
         m_g=np.asarray(m_g, dtype=np.float64),
         s_g=np.asarray(s_g, dtype=np.float64),
-        m_blocks=m_blocks,
-        l_blocks=l_blocks,
+        l_diag=l_diag,
     )
 
 

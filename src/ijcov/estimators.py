@@ -176,14 +176,16 @@ def bayes_covariance(sample: PosteriorSample) -> CovEstimate:
 
 
 def map_replicates(fn, tasks, threads: int) -> list:
-    """[fn(t) for t in tasks], in task order: in-process when threads <= 1,
-    else on a pool of `threads` worker processes fed one task at a time.
+    """[fn(t) for t in tasks], in task order: on a pool of
+    min(threads, len(tasks)) worker processes fed one task at a time (a fork
+    pool starts every worker up front), or in-process when that is <= 1.
     `fn` must be a module-level function and the tasks picklable.  Results
     come back in task order, so tasks that each carry their own
     (seed, replicate) stream give the same list for any worker count."""
-    if threads <= 1:
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -164,20 +164,31 @@ class ExperimentResult:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "ExperimentResult":
-        return ExperimentResult(
-            config=ExperimentConfig.from_dict(d["config"]),
-            v_sim=cov_from_dict(d["v_sim"]),
-            v_bayes=cov_from_dict(d["v_bayes"]),
-            v_ij=cov_from_dict(d["v_ij"]),
-            v_boot=cov_from_dict(d["v_boot"]),
-            v_map=None if d.get("v_map") is None else cov_from_dict(d["v_map"]),
-            z=np.asarray(d["z"], dtype=np.float64),
-            delta_ij=np.asarray(d["delta_ij"], dtype=np.float64),
-            delta_bayes=np.asarray(d["delta_bayes"], dtype=np.float64),
-            kappa_hat=d.get("kappa_hat"),
-            resid_t1_hat=d.get("resid_t1_hat"),
-        )
+    def from_dict(d) -> "ExperimentResult":
+        """Inverse of `to_dict`; anything that is not a result of this
+        schema raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version {d.get('schema_version')!r}, expected {SCHEMA_VERSION}"
+            )
+        try:
+            return ExperimentResult(
+                config=ExperimentConfig.from_dict(d["config"]),
+                v_sim=cov_from_dict(d["v_sim"]),
+                v_bayes=cov_from_dict(d["v_bayes"]),
+                v_ij=cov_from_dict(d["v_ij"]),
+                v_boot=cov_from_dict(d["v_boot"]),
+                v_map=None if d.get("v_map") is None else cov_from_dict(d["v_map"]),
+                z=np.asarray(d["z"], dtype=np.float64),
+                delta_ij=np.asarray(d["delta_ij"], dtype=np.float64),
+                delta_bayes=np.asarray(d["delta_bayes"], dtype=np.float64),
+                kappa_hat=d.get("kappa_hat"),
+                resid_t1_hat=d.get("resid_t1_hat"),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"missing or malformed field: {exc}") from exc
 
 
 class _Stage:

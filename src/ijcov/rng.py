@@ -14,7 +14,7 @@ kind  used by
 3     block-bootstrap resampling
 4     data simulation
 5     reserved (unused, never reassigned)
-6     conditional draws (diagnostics fallback)
+6     reserved (unused, never reassigned)
 ====  =======================================
 """
 
@@ -28,7 +28,6 @@ KIND_BOOT = 1
 KIND_GROUND_TRUTH = 2
 KIND_BLOCK_BOOT = 3
 KIND_SIMULATE = 4
-KIND_COND_DRAWS = 6
 
 
 def seed_sequence(seed, *key: int) -> np.random.SeedSequence:

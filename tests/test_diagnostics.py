@@ -43,13 +43,13 @@ from ijcov import (
     empirical_group_moments,
     ess,
     kappa_and_rho,
-    ml_matrices_from_chain,
     poisson_re_truth_moments,
     poisson_re_view,
     sample_posterior,
     simulate_poisson_re,
     SimSpec,
 )
+from ijcov.diagnostics import l_diag_from_chain
 from ijcov.errors import NumericalError
 from ijcov.special import special_digamma, special_trigamma
 
@@ -120,8 +120,9 @@ def raw_second_moment_blocks(sample, view, *, g_col=0):
     (G x G x y_dim x y_dim) blocks, with eta evaluated draw by draw.
 
     For g measurable with respect to the global parameter this equals
-    L / N + M / N^2, which the closed-form path computes without touching
-    the local draws; the two routes validate each other.
+    L / N + M / N^2 with M_gh = N^2 E_post[ gbar * mubar_g mubar_h^T ] built
+    from the conditional means; L and M use only the global draws, so the
+    two routes validate each other.
     """
     m_draws = sample.m
     g, d = view.g_count, view.y_dim
@@ -132,6 +133,23 @@ def raw_second_moment_blocks(sample, view, *, g_col=0):
     eta_c = (eta - eta.mean(axis=0, keepdims=True)).reshape(m_draws, g * d)
     blocks = (eta_c * gbar[:, None]).T @ eta_c / m_draws
     return blocks.reshape(g, d, g, d).transpose(0, 2, 1, 3)
+
+
+def poisson_re_conditional_mean(model, data, gammas):
+    """E[eta_g | gamma, data] = (gamma + psi(A_g) - log B_g, -e^gamma A_g / B_g)
+    (the poisson_re_view docstring), as (M x G x 2)."""
+    y = data.units[:, 0].astype(np.float64)
+    groups = data.units[:, 1].astype(np.int64)
+    g = model.group_count
+    n_g = np.bincount(groups, minlength=g).astype(np.float64)
+    a_g = model.alpha + np.bincount(groups, weights=y, minlength=g)
+    c = np.exp(gammas)[:, None]
+    b = model.beta + n_g[None, :] * c
+    return np.stack(
+        [gammas[:, None] + special_digamma(a_g)[None, :] - np.log(b),
+         -c * a_g[None, :] / b],
+        axis=-1,
+    )
 
 
 def quantile_sample(model, data, m=4096):
@@ -166,15 +184,21 @@ def quantile_sample(model, data, m=4096):
     )
 
 
-def scalar_view(g_count=1, y=((2.0,), (4.0,)), groups=(0, 0), **hooks):
-    """1-D sufficient-statistic view with pluggable conditional hooks."""
+def zero_cov(g_count, d=1):
+    """Conditional-covariance hook that is identically zero."""
+    return lambda g: np.zeros((np.asarray(g).size, g_count, d, d))
+
+
+def scalar_view(g_count=1, y=((2.0,), (4.0,)), groups=(0, 0), conditional_cov=None):
+    """1-D sufficient-statistic view with a pluggable conditional
+    covariance (zero by default)."""
     return GroupedExpFamilyView(
         y=np.asarray(y, dtype=np.float64),
         groups=np.asarray(groups),
         g_count=g_count,
         eta_from_draw=lambda th: np.tile(th[:1], (g_count, 1)),
         gamma_from_draw=lambda th: float(th[0]),
-        **hooks,
+        conditional_cov=conditional_cov or zero_cov(g_count),
     )
 
 
@@ -209,7 +233,7 @@ class TestViewValidation:
         np.testing.assert_allclose(recon, direct, rtol=0, atol=1e-12)
 
     def test_conditional_moments_match_analytic(self):
-        """Two independent writings of the same conditional moments: the
+        """Two independent writings of the same conditional covariance: the
         view's vectorized path and PoissonAnalytic's multiplicative form."""
         y = np.array([3, 1, 4, 2, 5, 0])
         groups = np.array([0, 0, 1, 1, 2, 2])
@@ -217,13 +241,12 @@ class TestViewValidation:
         model = PoissonGammaREModel(group_count=3, alpha=4.0, beta=2.0)
         view = poisson_re_view(model, data)
         gamma = 0.37
-        mu, j = view.conditional_moments(np.array([gamma]))
+        j = view.conditional_cov(np.array([gamma]))
         rho_g = np.bincount(groups, weights=y.astype(float)) / 2.0
         ana = PoissonAnalytic(
             alpha=4.0, beta=2.0, gamma0=math.exp(gamma), n_per_group=2.0,
             rho_g=rho_g, v_g=rho_g,
         )
-        np.testing.assert_allclose(mu[0], ana.mu(), rtol=1e-12)
         np.testing.assert_allclose(j[0], ana.j_gg(), rtol=1e-12)
 
 
@@ -258,11 +281,13 @@ class TestEmpiricalGroupMoments:
             y=np.array(y), groups=np.array([0, 1, 1]), g_count=2,
             eta_from_draw=lambda th: np.zeros((2, 2)),
             gamma_from_draw=lambda th: 0.0,
+            conditional_cov=zero_cov(2, 2),
         )
         view2 = GroupedExpFamilyView(
             y=np.array(y * 3), groups=np.array([0, 1, 1] * 3), g_count=2,
             eta_from_draw=lambda th: np.zeros((2, 2)),
             gamma_from_draw=lambda th: 0.0,
+            conditional_cov=zero_cov(2, 2),
         )
         m1, s1 = empirical_group_moments(view1)
         m2, s2 = empirical_group_moments(view2)
@@ -281,6 +306,7 @@ class TestEmpiricalGroupMoments:
             y=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), g_count=2,
             eta_from_draw=lambda th: np.zeros((2, 1)),
             gamma_from_draw=lambda th: 0.0,
+            conditional_cov=zero_cov(2),
         )
         with pytest.raises(ValueError, match="empty"):
             empirical_group_moments(view)
@@ -347,70 +373,39 @@ class TestPoissonAnalytic:
 
 class TestMLMatrices:
     def test_hand_arithmetic_closed_form(self):
-        """Three-draw fake posterior with mu = gamma and J = gamma^2:
-        gbar = (-4/3, -1/3, 5/3), so M = N^2/M * sum(gbar * mubar^2) = 80/27
-        and L = N/M * sum(gbar * gamma^2) = 88/9."""
+        """Three-draw fake posterior with J = gamma^2:
+        gbar = (-4/3, -1/3, 5/3), so L = N/M * sum(gbar * gamma^2) = 88/9."""
         view = scalar_view(
-            conditional_moments=lambda g: (
-                np.asarray(g, dtype=float)[:, None, None],
-                (np.asarray(g, dtype=float) ** 2)[:, None, None, None],
-            )
+            conditional_cov=lambda g: (np.asarray(g, dtype=float) ** 2)[:, None, None, None]
         )
         draws = np.array([[0.0], [1.0], [3.0]])
         sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
-        m_blocks, l_blocks = ml_matrices_from_chain(sample, view)
-        assert m_blocks.shape == (1, 1, 1, 1)
-        assert m_blocks.ravel()[0] == pytest.approx(80.0 / 27.0, rel=1e-14)
-        assert l_blocks.ravel()[0] == pytest.approx(88.0 / 9.0, rel=1e-14)
+        l_diag = l_diag_from_chain(sample, view)
+        assert l_diag.shape == (1, 1, 1)
+        assert l_diag.ravel()[0] == pytest.approx(88.0 / 9.0, rel=1e-14)
 
     def test_constant_g_zeroes_everything(self):
-        view = scalar_view(
-            conditional_moments=lambda g: (
-                np.asarray(g, dtype=float)[:, None, None],
-                np.ones((np.asarray(g).size, 1, 1, 1)),
-            )
-        )
+        view = scalar_view(conditional_cov=lambda g: np.ones((np.asarray(g).size, 1, 1, 1)))
         draws = np.array([[0.5], [1.5], [2.5]])
         sample = PosteriorSample(
             draws=draws, g_values=np.full((3, 1), 7.0), loglik=None, n_data=2
         )
-        m_blocks, l_blocks = ml_matrices_from_chain(sample, view)
-        np.testing.assert_array_equal(m_blocks, 0.0)
-        np.testing.assert_array_equal(l_blocks, 0.0)
+        np.testing.assert_array_equal(l_diag_from_chain(sample, view), 0.0)
 
     def test_degenerate_conditional_gives_zero_l(self):
-        view = scalar_view(
-            conditional_moments=lambda g: (
-                np.asarray(g, dtype=float)[:, None, None],
-                np.zeros((np.asarray(g).size, 1, 1, 1)),
-            )
-        )
+        view = scalar_view()
         draws = np.array([[0.0], [1.0], [3.0]])
         sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
-        _, l_blocks = ml_matrices_from_chain(sample, view)
-        np.testing.assert_array_equal(l_blocks, 0.0)
+        np.testing.assert_array_equal(l_diag_from_chain(sample, view), 0.0)
 
     def test_path_errors(self):
-        bare = scalar_view()
-        draws = np.array([[0.0], [1.0]])
-        sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
-        with pytest.raises(ValueError, match="unsupported model"):
-            ml_matrices_from_chain(sample, bare)
-        with pytest.raises(ValueError, match="unknown path"):
-            ml_matrices_from_chain(sample, bare, path="magic")
-        with pytest.raises(ValueError, match="closed-form"):
-            ml_matrices_from_chain(sample, bare, path="closed_form")
-        with pytest.raises(ValueError, match="sampler"):
-            ml_matrices_from_chain(sample, bare, path="sampling")
-
-    def test_cond_draws_floor(self):
-        view = scalar_view(
-            conditional_sampler=lambda gamma, rng, size: np.zeros((size, 1, 1))
-        )
-        draws = np.array([[0.0], [1.0]])
-        sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
-        with pytest.raises(ValueError, match="cond_draws"):
-            ml_matrices_from_chain(sample, view, path="sampling", cond_draws=1)
+        """A model without a closed-form conditional covariance has no view."""
+        with pytest.raises(TypeError, match="conditional_cov"):
+            GroupedExpFamilyView(
+                y=np.ones((2, 1)), groups=np.zeros(2, dtype=int), g_count=1,
+                eta_from_draw=lambda th: th[:1, None],
+                gamma_from_draw=lambda th: float(th[0]),
+            )
 
     def test_l_matches_exact_rationals_on_long_chain(self):
         """Gibbs chain vs the integration-by-parts closed forms (module
@@ -422,7 +417,7 @@ class TestMLMatrices:
         model = PoissonGammaREModel(group_count=4, alpha=25.0, beta=2.5)
         cfg = ChainConfig(m_draws=60_000, burn_in=2000, rng_seed=0)
         sample = sample_posterior(model, data, cfg=cfg, method="gibbs")
-        _, l_blocks = ml_matrices_from_chain(sample, poisson_re_view(model, data))
+        l_diag = l_diag_from_chain(sample, poisson_re_view(model, data))
 
         a_g = 25.0 + y
         s_tot, t_tot = a_g.sum(), float(y.sum())  # 110, 10
@@ -437,7 +432,7 @@ class TestMLMatrices:
         se01 = 4.0 * np.std(gbar * (-c / b), ddof=1) / math.sqrt(ess_g)
         assert se01 < 0.01 * abs(l01_exact) * 40  # tolerance stays informative
         for g in range(4):
-            block = l_blocks[g, g]
+            block = l_diag[g]
             # gamma-independent trigamma entry is annihilated by centering
             assert abs(block[0, 0]) < 1e-14
             assert block[0, 1] == block[1, 0]
@@ -445,39 +440,10 @@ class TestMLMatrices:
             se11 = 4.0 * a_g[g] * np.std(gbar * (c**2 / b**2), ddof=1) / math.sqrt(ess_g)
             assert abs(block[1, 1] - l11_exact[g]) < 4.0 * se11
 
-    def test_sampling_path_tracks_closed_form(self):
-        spec = SimSpec(n=6, g_count=3, gamma_true=0.4, alpha=3.0, beta=1.5, rng_seed=11)
-        data, _ = simulate_poisson_re(spec)
-        model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=1.5)
-        sample = sample_posterior(
-            model, data, cfg=ChainConfig(m_draws=20_000, rng_seed=1), method="gibbs"
-        )
-        view = poisson_re_view(model, data)
-        m_c, l_c = ml_matrices_from_chain(sample, view, path="closed_form")
-        m_s, l_s = ml_matrices_from_chain(sample, view, path="sampling",
-                                          cond_draws=256, seed=3)
-        diag = np.arange(3)
-        scale = np.abs(l_c[diag, diag]).max()
-        assert np.abs(l_s[diag, diag] - l_c[diag, diag]).max() < 0.05 * scale
-        assert np.abs(m_s - m_c).max() < 0.05 * np.abs(m_c).max()
-
-    def test_sampling_path_seed_determinism(self):
-        view = scalar_view(
-            conditional_sampler=lambda gamma, rng, size: rng.normal(
-                gamma, 1.0, size=(size, 1, 1)
-            )
-        )
-        draws = np.array([[0.0], [1.0], [2.0]])
-        sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
-        _, l1 = ml_matrices_from_chain(sample, view, path="sampling", seed=7)
-        _, l2 = ml_matrices_from_chain(sample, view, path="sampling", seed=7)
-        _, l3 = ml_matrices_from_chain(sample, view, path="sampling", seed=8)
-        np.testing.assert_array_equal(l1, l2)
-        assert not np.array_equal(l1, l3)
-
     def test_raw_route_agrees_with_closed_form_decomposition(self):
         """Dual route: the direct per-draw second-moment blocks must equal
-        L/N + M/N^2 within MC error.  The SE of each entry comes from the
+        L/N + M/N^2 within MC error, with L from the library and M from the
+        closed-form conditional means.  The SE of each entry comes from the
         per-draw spread of the difference statistic over the ESS of the
         global parameter."""
         spec = SimSpec(n=6, g_count=3, gamma_true=0.4, alpha=3.0, beta=1.5, rng_seed=11)
@@ -488,15 +454,19 @@ class TestMLMatrices:
         )
         view = poisson_re_view(model, data)
         raw = raw_second_moment_blocks(sample, view)
-        m_blocks, l_blocks = ml_matrices_from_chain(sample, view)
-        pred = l_blocks / 6.0 + m_blocks / 36.0
 
         gam = np.array([view.gamma_from_draw(r) for r in sample.draws])
         gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
         eta = np.stack([view.eta_from_draw(r) for r in sample.draws])
-        mu, j = view.conditional_moments(gam)
+        mu = poisson_re_conditional_mean(model, data, gam)
+        j = view.conditional_cov(gam)
         eta_c = eta - eta.mean(axis=0)
         mu_c = mu - mu.mean(axis=0)
+        l_blocks = np.zeros((3, 3, 2, 2))
+        l_blocks[np.arange(3), np.arange(3)] = l_diag_from_chain(sample, view)
+        # M / N^2 = E_post[ gbar * mubar_g mubar_h^T ]
+        pred = l_blocks / 6.0 + np.einsum("m,mgi,mhj->ghij", gbar, mu_c, mu_c) / sample.m
+
         per = gbar[:, None, None, None, None] * (
             np.einsum("mgi,mhj->mghij", eta_c, eta_c)
             - np.einsum("mgi,mhj->mghij", mu_c, mu_c)
@@ -542,6 +512,7 @@ class TestKappaRho:
             y=view.y, groups=inv[view.groups], g_count=6,
             eta_from_draw=view.eta_from_draw,
             gamma_from_draw=view.gamma_from_draw,
+            conditional_cov=view.conditional_cov,
         )
         kr2 = kappa_and_rho(relabeled, m[perm], s[perm], l[perm])
         assert kr2.kappa_hat == pytest.approx(kr.kappa_hat, rel=1e-12)
@@ -566,8 +537,9 @@ class TestKappaRho:
 
     def test_l_shape_guard(self):
         view, m, s, _ = self.poisson_setup()
-        with pytest.raises(ValueError, match="l_blocks"):
-            kappa_and_rho(view, m, s, np.zeros((6, 3, 3)))
+        for shape in ((6, 3, 3), (6, 6, 2, 2)):
+            with pytest.raises(ValueError, match="l_diag"):
+                kappa_and_rho(view, m, s, np.zeros(shape))
 
     def test_cross_terms_shrink_with_group_count(self):
         """|R_hat - rho_bar| collects the off-diagonal rho mass; with
@@ -617,11 +589,11 @@ class TestDiagnosePipeline:
         view = poisson_re_view(model, data)
         terms = diagnose(sample, view)
         m, s = empirical_group_moments(view)
-        m_blocks, l_blocks = ml_matrices_from_chain(sample, view)
-        kr = kappa_and_rho(view, m, s, l_blocks)
+        l_diag = l_diag_from_chain(sample, view)
+        kr = kappa_and_rho(view, m, s, l_diag)
         assert terms.kappa_hat == kr.kappa_hat
         np.testing.assert_array_equal(terms.rho_nn, kr.rho_nn)
-        np.testing.assert_array_equal(terms.m_blocks, m_blocks)
+        np.testing.assert_array_equal(terms.l_diag, l_diag)
         assert terms.kappa_hat == pytest.approx(terms.per_group_trace.mean())
 
     def test_unknown_moments_string(self):

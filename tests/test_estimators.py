@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ijcov import estimators
 from ijcov import (
     ChainConfig,
     CovEstimate,
@@ -225,6 +226,39 @@ class TestBootstrapCovariance:
         # bootstrap MC error at B=120 is ~ sqrt(2/B) ~ 13 percent
         assert v.v[0, 0] == pytest.approx(s2, rel=0.5)
         assert v.b_or_m == 120
+
+
+class TestMapReplicates:
+    @pytest.fixture()
+    def requested(self, monkeypatch):
+        """Swaps ProcessPoolExecutor for an in-process fake that records the
+        worker count it is asked for, so no process is started."""
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    def test_pool_capped_at_task_count(self, requested):
+        assert estimators.map_replicates(lambda t: t * t, [1, 2, 3], 10_000) == [1, 4, 9]
+        assert requested == [3]
+
+    def test_single_task_runs_in_process(self, requested):
+        assert estimators.map_replicates(lambda t: t * t, [5], 4) == [25]
+        assert estimators.map_replicates(lambda t: t * t, [], 4) == []
+        assert requested == []
 
 
 class TestSandwich:

@@ -359,6 +359,30 @@ class TestCliPipeline:
         assert (out2 / "z_delta.csv").read_bytes() == \
             (out1 / "z_delta.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda d: {k: v for k, v in d.items() if k != "v_sim"},
+             "missing or malformed field: 'v_sim'"),
+            (lambda d: {**d, "config": {**d["config"], "bogus": 1}}, "bogus"),
+            (lambda d: [d], "expected a JSON object"),
+            (lambda d: {**d, "schema_version": 99}, "schema_version 99"),
+        ],
+        ids=["missing_v_sim", "unknown_config_key", "top_level_array", "schema_version"],
+    )
+    def test_report_refuses_malformed_result(self, tiny_run, tmp_path, capsys,
+                                             mangle, message):
+        _, out = tiny_run
+        bad = tmp_path / "result.json"
+        bad.write_text(json.dumps(mangle(json.loads((out / "result.json").read_text()))))
+        code = cli_dispatch(["--out", str(tmp_path / "re"), "report", "--result", str(bad)])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith(f"error: {bad}: ")
+        assert message in cap.err
+        assert len(cap.err.strip().splitlines()) == 1
+        assert not (tmp_path / "re").exists()
+
     def test_stage_failure_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise ValueError("synthetic usage failure")

@@ -618,6 +618,21 @@ class TestCliSimulateSample:
         assert code == 0
         assert sum(1 for _ in open(tmp_path / "o" / "dataset.csv")) == 6
 
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [([1, 2], ["simulate"]), ({"ij": 3}, ["ij", "--draws", "x", "--loglik", "y"])],
+        ids=["top_level_array", "non_object_section"],
+    )
+    def test_config_must_be_object_of_objects(self, capsys, tmp_path, doc, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "--out",
+                                 str(tmp_path / "o"), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg}: --config must be a JSON object")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_dataset_kind_mismatch(self, capsys, poisson_files):
         code, _, err = run_cli(capsys, "sandwich", "--model", "normal",
                                "--data", str(poisson_files["dataset"]))
