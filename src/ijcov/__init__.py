@@ -13,7 +13,6 @@ so they are directly comparable.  Monte-Carlo error for each lives in
 
 from .diagnostics import (
     BcltCheck,
-    GroupedExpFamilyTerms,
     GroupedExpFamilyView,
     KappaRho,
     bclt_expansion_check,
@@ -67,7 +66,6 @@ __all__ = [
     "DimensionMismatchError",
     "ExperimentConfig",
     "ExperimentResult",
-    "GroupedExpFamilyTerms",
     "GroupedExpFamilyView",
     "IngestError",
     "InfluenceMatrix",

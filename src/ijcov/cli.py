@@ -53,7 +53,7 @@ from .reference import (
     simulate_poisson_re,
 )
 from .rng import KIND_SIMULATE, stream
-from .samplers import ChainConfig, map_optimize, sample_posterior
+from .samplers import ChainConfig, ess, map_optimize, sample_posterior
 
 _MODEL_CHOICES = ("poisson_re", "normal")
 
@@ -77,8 +77,11 @@ _MODEL_CHOICES = ("poisson_re", "normal")
 def cli(ctx, seed, config_path, out_dir, threads, fmt):
     """Frequentist covariance of Bayesian posterior means from MCMC output."""
     if config_path is not None:
-        with open(config_path) as fh:
-            defaults = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                defaults = json.load(fh)
+        except ValueError as exc:
+            raise IngestError(f"{config_path}: {exc}") from exc
         sections = defaults.values() if isinstance(defaults, dict) else [defaults]
         if not all(isinstance(v, dict) for v in sections):
             raise IngestError(
@@ -216,8 +219,8 @@ def sample(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
     write_loglik_csv(lpath, s)
     click.echo(f"wrote {dpath}")
     click.echo(f"wrote {lpath}")
-    if s.ess_per_param is not None:
-        click.echo(f"min ESS across parameters: {s.ess_per_param.min():.1f}")
+    if s.m >= 10:
+        click.echo(f"min ESS across parameters: {min(map(ess, s.draws.T)):.1f}")
 
 
 @cli.command()

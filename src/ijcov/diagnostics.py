@@ -46,7 +46,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "GroupedExpFamilyView",
-    "GroupedExpFamilyTerms",
     "KappaRho",
     "poisson_re_view",
     "poisson_re_truth_moments",
@@ -64,18 +63,15 @@ class GroupedExpFamilyView:
     """How to read a fitted model as a grouped exponential family.
 
     ``y`` holds the per-datum sufficient statistics (N x y_dim), ``groups``
-    the group label of each datum.  ``eta_from_draw`` maps one parameter
-    draw to the (G x y_dim) natural-parameter matrix and ``gamma_from_draw``
-    extracts the global parameter.  ``conditional_cov`` maps a length-M
-    vector of global draws to the closed-form conditional covariances
-    (M x G x y_dim x y_dim) of eta given gamma and the data.
+    the group label of each datum.  ``conditional_cov`` maps the M x D
+    parameter draws to the closed-form conditional covariances
+    (M x G x y_dim x y_dim) of eta given the global parameter and the data;
+    it reads the global parameter from the draws itself.
     """
 
     y: np.ndarray
     groups: np.ndarray
     g_count: int
-    eta_from_draw: Callable[[np.ndarray], np.ndarray]
-    gamma_from_draw: Callable[[np.ndarray], float]
     conditional_cov: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -98,11 +94,6 @@ class GroupedExpFamilyView:
     def y_dim(self) -> int:
         return self.y.shape[1]
 
-    def loglik_from_eta(self, theta) -> np.ndarray:
-        """Per-datum log-likelihoods reconstructed as ytil_n . eta_{a_n}."""
-        eta = np.asarray(self.eta_from_draw(np.asarray(theta, dtype=np.float64)))
-        return np.einsum("nd,nd->n", self.y, eta[self.groups])
-
 
 def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     """Grouped view of the Poisson random-effects model.
@@ -116,7 +107,7 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     Gamma(A_g, B_g) with A_g = alpha + sum_{n in g} y_n and
     B_g = beta + n_g e^gamma, giving closed-form conditional moments of
     eta_g = (gamma + log u_g, -e^gamma u_g); the view computes the
-    covariance:
+    covariance from gamma, column 0 of the draws:
 
         E[eta_g | gamma]   = (gamma + psi(A_g) - log B_g, -e^gamma A_g / B_g)
         Cov[eta_g | gamma] = [[psi1(A_g),      -e^gamma / B_g          ],
@@ -130,8 +121,8 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     a_g = model.alpha + sum_y
     psi1_a = special_trigamma(a_g)
 
-    def conditional_cov(gammas):
-        gam = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
+    def conditional_cov(draws):
+        gam = np.ascontiguousarray(draws[:, 0], dtype=np.float64)
         c = np.exp(gam)[:, None]
         b = model.beta + n_g[None, :] * c
         j = np.empty((gam.size, g_count, 2, 2))
@@ -140,16 +131,10 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
         j[:, :, 1, 1] = c**2 * a_g[None, :] / b**2
         return j
 
-    def eta_from_draw(theta):
-        s = theta[0] + theta[1:]
-        return np.column_stack([s, -np.exp(s)])
-
     return GroupedExpFamilyView(
         y=np.column_stack([counts, np.ones_like(counts)]),
         groups=groups,
         g_count=g_count,
-        eta_from_draw=eta_from_draw,
-        gamma_from_draw=lambda theta: float(theta[0]),
         conditional_cov=conditional_cov,
     )
 
@@ -193,19 +178,17 @@ def empirical_group_moments(view: GroupedExpFamilyView) -> tuple[np.ndarray, np.
     return m, s
 
 
-def l_diag_from_chain(
-    sample: PosteriorSample, view: GroupedExpFamilyView, *, g_col: int = 0
-) -> np.ndarray:
-    """Chain estimate of the diagonal L blocks, (G x y_dim x y_dim).
+def l_diag_from_chain(sample: PosteriorSample, view: GroupedExpFamilyView) -> np.ndarray:
+    """Chain estimate of the diagonal L blocks, (G x y_dim x y_dim), for the
+    first quantity of interest.
 
     The posterior expectation is the plain draw average (divisor M) with g
     centered at its sample mean.  The off-diagonal blocks are zero (the
     groups are conditionally independent given the global parameter), so
     they are never formed.
     """
-    gammas = np.array([view.gamma_from_draw(row) for row in sample.draws], dtype=np.float64)
-    gbar = sample.g_values[:, g_col] - sample.g_values[:, g_col].mean()
-    j = np.asarray(view.conditional_cov(gammas), dtype=np.float64)
+    gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
+    j = np.asarray(view.conditional_cov(sample.draws), dtype=np.float64)
     return view.n * np.einsum("m,mgij->gij", gbar, j) / sample.m
 
 
@@ -292,24 +275,9 @@ def kappa_and_rho(
     )
 
 
-@dataclass
-class GroupedExpFamilyTerms(KappaRho):
-    """Everything the grouped diagnostics produce for one fitted model: the
-    scalar diagnostics plus the moments and diagonal L blocks they came
-    from."""
-
-    m_g: np.ndarray
-    s_g: np.ndarray
-    l_diag: np.ndarray
-
-
 def diagnose(
-    sample: PosteriorSample,
-    view: GroupedExpFamilyView,
-    *,
-    moments="empirical",
-    g_col: int = 0,
-) -> GroupedExpFamilyTerms:
+    sample: PosteriorSample, view: GroupedExpFamilyView, *, moments="empirical"
+) -> KappaRho:
     """One-call pipeline: moments, diagonal L blocks, kappa and rho.
 
     ``moments`` is "empirical" or an explicit (m_g, S_g) pair (for
@@ -321,13 +289,7 @@ def diagnose(
         m_g, s_g = empirical_group_moments(view)
     else:
         m_g, s_g = moments
-    l_diag = l_diag_from_chain(sample, view, g_col=g_col)
-    return GroupedExpFamilyTerms(
-        **vars(kappa_and_rho(view, m_g, s_g, l_diag)),
-        m_g=np.asarray(m_g, dtype=np.float64),
-        s_g=np.asarray(s_g, dtype=np.float64),
-        l_diag=l_diag,
-    )
+    return kappa_and_rho(view, m_g, s_g, l_diag_from_chain(sample, view))
 
 
 @dataclass

@@ -197,9 +197,7 @@ def _bootstrap_replicate(args):
         rep_cfg = dataclasses.replace(
             cfg, rng_seed=seed_sequence(seed, KIND_BOOT, rep, 1)
         )
-        sub = sample_posterior(
-            model, data, w, rep_cfg, method=method, want_loglik=False, compute_ess=False
-        )
+        sub = sample_posterior(model, data, w, rep_cfg, method=method, want_loglik=False)
         return sub.g_values.mean(axis=0)
     except Exception as exc:  # noqa: BLE001 - re-raised with replicate index
         raise NumericalError(f"bootstrap replicate {rep} failed: {exc}") from exc
@@ -232,7 +230,7 @@ def bootstrap_covariance(
     return CovEstimate(v=v, method="boot", b_or_m=b), means
 
 
-def bootstrap_covariance_exhaustive(data: Dataset, functional, *, max_n: int = 6) -> CovEstimate:
+def bootstrap_covariance_exhaustive(data: Dataset, functional) -> CovEstimate:
     """Exhaustive enumeration of every resample (test-only mode for tiny N).
 
     Enumerates all N^N equally likely index draws, maps each weight vector
@@ -241,8 +239,8 @@ def bootstrap_covariance_exhaustive(data: Dataset, functional, *, max_n: int = 6
     sqrt(N) times the functional values.
     """
     n = data.n
-    if n > max_n:
-        raise ValueError(f"exhaustive enumeration is limited to N <= {max_n}")
+    if n > 6:
+        raise ValueError("exhaustive enumeration is limited to N <= 6")
     values = []
     for idx in itertools.product(range(n), repeat=n):
         w = np.bincount(np.asarray(idx), minlength=n).astype(np.float64)

@@ -254,9 +254,7 @@ def _gt_replicate(args):
             burn_in=cfg.burn_in,
             rng_seed=seed_sequence(cfg.seed, KIND_GROUND_TRUTH, rep, 1),
         )
-        sub = sample_posterior(
-            model, data, None, chain_cfg, want_loglik=False, compute_ess=False
-        )
+        sub = sample_posterior(model, data, None, chain_cfg, want_loglik=False)
         return sub.g_values.mean(axis=0)
     except Exception as exc:  # noqa: BLE001 - re-raised with replicate index
         raise NumericalError(f"ground-truth replicate {rep} failed: {exc}") from exc

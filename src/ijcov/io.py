@@ -125,6 +125,8 @@ def read_dataset_csv(path) -> tuple[Dataset, str]:
             a = _parse_float(row[1], i + 1, "a")
             if y != int(y) or a != int(a):
                 raise IngestError(f"row {i + 1}: y and a must be integers")
+            if not (0 <= y < 2.0**63 and 0 <= a < 2.0**63):
+                raise IngestError(f"row {i + 1}: y and a must lie in [0, 2^63)")
             units.append([int(y), int(a)])
         return Dataset(np.array(units, dtype=np.int64)), "poisson_re"
     raise IngestError(f"{path}: unrecognized dataset header {header}")
@@ -342,7 +344,13 @@ def assemble_sample(
             val = _eval_g_expr(g_expr, env)
         except Exception as exc:
             raise IngestError(f"--g-expr failed: {exc}") from exc
-        g = np.asarray(val, dtype=np.float64).reshape(params.shape[0], -1)
+        g = np.asarray(val, dtype=np.float64)
+        if g.shape != (params.shape[0],):
+            raise IngestError(
+                f"--g-expr must give one value per draw ({params.shape[0]}), "
+                f"got shape {g.shape}"
+            )
+        g = g[:, None]
     if g is None:
         raise IngestError(
             "no g columns in the draws file; pass --g-cols or --g-expr"

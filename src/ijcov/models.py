@@ -4,11 +4,9 @@ one reader for each optional model hook.
 A model is any object exposing
 
     dim : int               parameter dimension D
-    gamma_dim : int         leading global-parameter dimension (<= dim)
-    q : int                 dimension of the quantity of interest g(theta)
     log_lik(x, theta)       per-datum log-likelihood, -inf outside the domain
     log_prior(theta)        log prior density, -inf outside the domain
-    g(theta)                quantity of interest, shape (q,)
+    g(theta)                quantity of interest, a length-q vector
 
 That is all the influence-score, Bayes and bootstrap estimators need.  A
 model may also carry optional hooks, for speed or exact derivatives.  The
@@ -83,10 +81,6 @@ class Dataset:
 
     def unit(self, i: int):
         return self.units[i]
-
-    def permuted(self, order) -> "Dataset":
-        order = np.asarray(order)
-        return Dataset(self.units[order])
 
 
 def ones_weights(n: int) -> np.ndarray:

@@ -52,8 +52,6 @@ class NormalMeanModel:
     prior_sd: float | None = None
 
     dim = 1
-    gamma_dim = 1
-    q = 1
 
     def __post_init__(self):
         if self.known_sd <= 0:
@@ -193,8 +191,6 @@ class PoissonGammaConjugateModel:
     prior_rate: float = 0.0
 
     dim = 1
-    gamma_dim = 1
-    q = 1
 
     def __post_init__(self):
         if self.prior_shape <= 0 or self.prior_rate < 0:
@@ -305,9 +301,6 @@ class PoissonGammaREModel:
     group_count: int
     alpha: float
     beta: float
-
-    q = 1
-    gamma_dim = 1
 
     def __post_init__(self):
         if self.group_count < 1:

@@ -23,8 +23,11 @@ Three sampling paths share one entry point, :func:`sample_posterior`:
   burn-in only.
 
 Burn-in and thinning apply to the Markov samplers; the exact samplers return
-``m_draws`` IID draws as-is.  One chain is strictly sequential; independent
-chains derive their own RNG streams from (seed, replicate-index).
+``m_draws`` IID draws as-is.  The Gibbs sweep starts from u_g = alpha/beta and
+e^gamma = sum_n w_n y_n / sum_g u_g sum_{n: a_n=g} w_n; random-walk Metropolis
+starts from the model's ``mh_init`` point, else the origin.  One chain is
+strictly sequential; independent chains derive their own RNG streams from
+(seed, replicate-index).
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class ChainConfig:
     burn_in: int | None = None
     thin: int = 1
     rng_seed: Any = 0
-    init: Any = "auto"
 
     def __post_init__(self):
         if self.m_draws < 2:
@@ -98,14 +100,12 @@ class ChainConfig:
 @dataclass
 class PosteriorSample:
     """M retained draws with per-draw g values and (optionally) the M x N
-    per-datum log-likelihood matrix, plus per-parameter effective sample
-    sizes when computed."""
+    per-datum log-likelihood matrix."""
 
     draws: np.ndarray
     g_values: np.ndarray
     loglik: np.ndarray | None
     n_data: int
-    ess_per_param: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -155,16 +155,14 @@ def sample_posterior(
     *,
     method: str = "auto",
     want_loglik: bool = True,
-    compute_ess: bool = True,
 ) -> PosteriorSample:
     """Draw from the w-weighted posterior of `model` given `data`.
 
     Dispatch: exact conjugate draws for NormalMeanModel and
     PoissonGammaConjugateModel, the Gibbs sweep for PoissonGammaREModel, and
     random-walk Metropolis otherwise; ``method`` in {"auto", "exact",
-    "gibbs", "mh"} overrides.  The sample carries g(theta^m) per draw, the
-    M x N log-likelihood matrix when ``want_loglik``, and per-parameter ESS
-    when ``compute_ess``.
+    "gibbs", "mh"} overrides.  The sample carries g(theta^m) per draw and
+    the M x N log-likelihood matrix when ``want_loglik``.
     """
     if cfg is None:
         raise ValueError("cfg is required")
@@ -195,18 +193,8 @@ def sample_posterior(
 
     g_values = g_matrix(model, draws)
     loglik = log_lik_matrix(model, data, draws) if want_loglik else None
-
-    ess_pp = None
-    if compute_ess and draws.shape[0] >= 10:
-        ess_pp = np.array([ess(col) for col in draws.T])
-
     return PosteriorSample(
-        draws=draws,
-        g_values=g_values,
-        loglik=loglik,
-        n_data=data.n,
-        ess_per_param=ess_pp,
-        meta=meta,
+        draws=draws, g_values=g_values, loglik=loglik, n_data=data.n, meta=meta
     )
 
 
@@ -246,15 +234,8 @@ def _gibbs_poisson_re(model: PoissonGammaREModel, data, w, cfg, rng) -> np.ndarr
     m_ret = cfg.retained()
     draws = np.empty((m_ret, 1 + g_count))
 
-    if isinstance(cfg.init, str) and cfg.init == "auto":
-        u = np.full(g_count, model.alpha / model.beta)
-        c = s_wy / float(u @ w_g)
-    else:
-        theta0 = np.asarray(cfg.init, dtype=np.float64).reshape(-1)
-        if theta0.size != 1 + g_count:
-            raise DimensionMismatchError("init has wrong length")
-        c = math.exp(theta0[0])
-        u = np.exp(theta0[1:])
+    u = np.full(g_count, model.alpha / model.beta)
+    c = s_wy / float(u @ w_g)
 
     # Row j of a chunk holds iteration j's G u-variates, then its c-variate:
     # the order in which per-iteration rng.gamma calls consume the stream.
@@ -281,18 +262,13 @@ _MH_START_STEP = 0.5
 
 def _mh_chain(model, data, w, cfg, rng):
     d = model.dim
-    note = ""
-    if isinstance(cfg.init, str) and cfg.init == "auto":
-        theta = start_point(model, data, "mh_init")
-        note = _origin_start_note(model, "mh_init")
-    else:
-        theta = np.asarray(cfg.init, dtype=np.float64).reshape(-1).copy()
-        if theta.size != d:
-            raise DimensionMismatchError("init has wrong length")
-
+    theta = start_point(model, data, "mh_init")
     logp = weighted_log_posterior(model, data, w, theta)
     if not math.isfinite(logp):
-        raise NumericalError("MH initialization has zero posterior density" + note)
+        raise NumericalError(
+            "MH initialization has zero posterior density"
+            + _origin_start_note(model, "mh_init")
+        )
 
     target = 0.44 if d == 1 else 0.23
     step = _MH_START_STEP
@@ -334,13 +310,14 @@ class MapFit:
     info_hat: np.ndarray
     score_cov_hat: np.ndarray
     converged: bool
-    newton_iters: int
-    objective: float
-    grad_norm: float
     n_data: int = 0
 
 
-def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
+# Newton iterations before map_optimize gives up (the fit is then unconverged).
+_MAP_MAX_ITER = 100
+
+
+def map_optimize(model, data: Dataset) -> MapFit:
     """Newton ascent with backtracking on the MAP objective
 
         L(theta) = (1/N) [ sum_n log_lik(x_n|theta) + log_prior(theta) ].
@@ -370,13 +347,12 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
             "MAP initialization outside the model domain" + _origin_start_note(model, "map_init")
         )
 
-    converged = False
-    iters = 0
+    def stationary():
+        return float(np.linalg.norm(g)) <= 1e-8 * (1.0 + abs(f))
+
     g = grad(theta)
-    for iters in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-8 * (1.0 + abs(f)):
-            converged = True
+    for _ in range(_MAP_MAX_ITER):
+        if stationary():
             break
         h = hess(theta)
         try:
@@ -386,26 +362,20 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
         except np.linalg.LinAlgError:
             direction = g.copy()
         # Backtracking line search (Armijo); objective never decreases
-        # across accepted steps.
+        # across accepted steps.  Stop when no step is accepted.
         t = 1.0
         slope = float(direction @ g)
-        improved = False
         for _ in range(60):
             cand = theta + t * direction
             fc = objective(cand)
             if math.isfinite(fc) and fc >= f + 1e-4 * t * slope:
                 theta, f = cand, fc
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
         g = grad(theta)
-    else:
-        iters = max_iter
-
-    gnorm = float(np.linalg.norm(g))
-    converged = converged or gnorm <= 1e-8 * (1.0 + abs(f))
+    converged = stationary()
 
     info = -hessian_sum(model, data, theta) / n
     info = 0.5 * (info + info.T)
@@ -423,9 +393,6 @@ def map_optimize(model, data: Dataset, *, max_iter: int = 100) -> MapFit:
         info_hat=info,
         score_cov_hat=sigma,
         converged=converged,
-        newton_iters=iters,
-        objective=f,
-        grad_norm=gnorm,
         n_data=n,
     )
 

@@ -115,21 +115,25 @@ class PoissonAnalytic:
         return m, s
 
 
-def raw_second_moment_blocks(sample, view, *, g_col=0):
+def poisson_re_eta(draws):
+    """Natural parameters eta_g = (gamma + lambda_g, -exp(gamma + lambda_g))
+    at each draw of the Poisson random-effects model, as (M x G x 2)."""
+    s = draws[:, :1] + draws[:, 1:]
+    return np.stack([s, -np.exp(s)], axis=-1)
+
+
+def raw_second_moment_blocks(sample):
     """Direct chain estimate of E_post[ gbar * etabar etabar^T ] as
-    (G x G x y_dim x y_dim) blocks, with eta evaluated draw by draw.
+    (G x G x 2 x 2) blocks, with eta evaluated draw by draw.
 
     For g measurable with respect to the global parameter this equals
     L / N + M / N^2 with M_gh = N^2 E_post[ gbar * mubar_g mubar_h^T ] built
     from the conditional means; L and M use only the global draws, so the
     two routes validate each other.
     """
-    m_draws = sample.m
-    g, d = view.g_count, view.y_dim
-    gbar = sample.g_values[:, g_col] - sample.g_values[:, g_col].mean()
-    eta = np.empty((m_draws, g, d))
-    for m_idx, row in enumerate(sample.draws):
-        eta[m_idx] = view.eta_from_draw(row)
+    eta = poisson_re_eta(sample.draws)
+    m_draws, g, d = eta.shape
+    gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
     eta_c = (eta - eta.mean(axis=0, keepdims=True)).reshape(m_draws, g * d)
     blocks = (eta_c * gbar[:, None]).T @ eta_c / m_draws
     return blocks.reshape(g, d, g, d).transpose(0, 2, 1, 3)
@@ -186,7 +190,7 @@ def quantile_sample(model, data, m=4096):
 
 def zero_cov(g_count, d=1):
     """Conditional-covariance hook that is identically zero."""
-    return lambda g: np.zeros((np.asarray(g).size, g_count, d, d))
+    return lambda draws: np.zeros((len(draws), g_count, d, d))
 
 
 def scalar_view(g_count=1, y=((2.0,), (4.0,)), groups=(0, 0), conditional_cov=None):
@@ -196,8 +200,6 @@ def scalar_view(g_count=1, y=((2.0,), (4.0,)), groups=(0, 0), conditional_cov=No
         y=np.asarray(y, dtype=np.float64),
         groups=np.asarray(groups),
         g_count=g_count,
-        eta_from_draw=lambda th: np.tile(th[:1], (g_count, 1)),
-        gamma_from_draw=lambda th: float(th[0]),
         conditional_cov=conditional_cov or zero_cov(g_count),
     )
 
@@ -216,8 +218,9 @@ class TestViewValidation:
             scalar_view(g_count=1, groups=[0, 1])
 
     def test_loglik_reconstruction_matches_model(self):
-        """The stacked-statistic form must reproduce the model's per-datum
-        log-likelihood exactly (both drop the same data-only constant)."""
+        """The view's statistics in the stacked form ytil_n . eta_{a_n} must
+        reproduce the model's per-datum log-likelihood exactly (both drop the
+        same data-only constant)."""
         rng = np.random.default_rng(0)
         g = 3
         y = rng.poisson(2.5, size=9)
@@ -226,7 +229,8 @@ class TestViewValidation:
         model = PoissonGammaREModel(group_count=g, alpha=3.0, beta=1.5)
         view = poisson_re_view(model, data)
         theta = np.concatenate([[0.3], rng.normal(size=g)])
-        recon = view.loglik_from_eta(theta)
+        eta = poisson_re_eta(theta[None, :])[0]
+        recon = np.einsum("nd,nd->n", view.y, eta[view.groups])
         direct = np.array(
             [float(model.log_lik(data.unit(i), theta)) for i in range(9)]
         )
@@ -241,7 +245,7 @@ class TestViewValidation:
         model = PoissonGammaREModel(group_count=3, alpha=4.0, beta=2.0)
         view = poisson_re_view(model, data)
         gamma = 0.37
-        j = view.conditional_cov(np.array([gamma]))
+        j = view.conditional_cov(np.array([[gamma, 0.5, -0.1, 0.2]]))
         rho_g = np.bincount(groups, weights=y.astype(float)) / 2.0
         ana = PoissonAnalytic(
             alpha=4.0, beta=2.0, gamma0=math.exp(gamma), n_per_group=2.0,
@@ -279,14 +283,10 @@ class TestEmpiricalGroupMoments:
         y = [[1.0, 2.0], [3.0, 1.0], [0.0, 1.0]]
         view1 = GroupedExpFamilyView(
             y=np.array(y), groups=np.array([0, 1, 1]), g_count=2,
-            eta_from_draw=lambda th: np.zeros((2, 2)),
-            gamma_from_draw=lambda th: 0.0,
             conditional_cov=zero_cov(2, 2),
         )
         view2 = GroupedExpFamilyView(
             y=np.array(y * 3), groups=np.array([0, 1, 1] * 3), g_count=2,
-            eta_from_draw=lambda th: np.zeros((2, 2)),
-            gamma_from_draw=lambda th: 0.0,
             conditional_cov=zero_cov(2, 2),
         )
         m1, s1 = empirical_group_moments(view1)
@@ -304,8 +304,6 @@ class TestEmpiricalGroupMoments:
     def test_all_empty_rejected(self):
         view = GroupedExpFamilyView(
             y=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), g_count=2,
-            eta_from_draw=lambda th: np.zeros((2, 1)),
-            gamma_from_draw=lambda th: 0.0,
             conditional_cov=zero_cov(2),
         )
         with pytest.raises(ValueError, match="empty"):
@@ -376,7 +374,7 @@ class TestMLMatrices:
         """Three-draw fake posterior with J = gamma^2:
         gbar = (-4/3, -1/3, 5/3), so L = N/M * sum(gbar * gamma^2) = 88/9."""
         view = scalar_view(
-            conditional_cov=lambda g: (np.asarray(g, dtype=float) ** 2)[:, None, None, None]
+            conditional_cov=lambda draws: (draws[:, 0] ** 2)[:, None, None, None]
         )
         draws = np.array([[0.0], [1.0], [3.0]])
         sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
@@ -385,7 +383,7 @@ class TestMLMatrices:
         assert l_diag.ravel()[0] == pytest.approx(88.0 / 9.0, rel=1e-14)
 
     def test_constant_g_zeroes_everything(self):
-        view = scalar_view(conditional_cov=lambda g: np.ones((np.asarray(g).size, 1, 1, 1)))
+        view = scalar_view(conditional_cov=lambda draws: np.ones((len(draws), 1, 1, 1)))
         draws = np.array([[0.5], [1.5], [2.5]])
         sample = PosteriorSample(
             draws=draws, g_values=np.full((3, 1), 7.0), loglik=None, n_data=2
@@ -403,8 +401,6 @@ class TestMLMatrices:
         with pytest.raises(TypeError, match="conditional_cov"):
             GroupedExpFamilyView(
                 y=np.ones((2, 1)), groups=np.zeros(2, dtype=int), g_count=1,
-                eta_from_draw=lambda th: th[:1, None],
-                gamma_from_draw=lambda th: float(th[0]),
             )
 
     def test_l_matches_exact_rationals_on_long_chain(self):
@@ -443,29 +439,34 @@ class TestMLMatrices:
     def test_raw_route_agrees_with_closed_form_decomposition(self):
         """Dual route: the direct per-draw second-moment blocks must equal
         L/N + M/N^2 within MC error, with L from the library and M from the
-        closed-form conditional means.  The SE of each entry comes from the
-        per-draw spread of the difference statistic over the ESS of the
-        global parameter."""
-        spec = SimSpec(n=6, g_count=3, gamma_true=0.4, alpha=3.0, beta=1.5, rng_seed=11)
+        closed-form conditional means.  The prior mean alpha/beta = 0.5 of
+        the group rates leaves the local parameters weakly informed, so on
+        the diagonal blocks L/N dominates M/N^2 and lies well outside the
+        5-SE band: an L off by a factor of 2 fails.  The SE of each entry
+        comes from the per-draw spread of the difference statistic over the
+        ESS of the global parameter."""
+        spec = SimSpec(n=6, g_count=3, gamma_true=0.4, alpha=3.0, beta=6.0, rng_seed=11)
         data, _ = simulate_poisson_re(spec)
-        model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=1.5)
+        model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=6.0)
         sample = sample_posterior(
-            model, data, cfg=ChainConfig(m_draws=30_000, rng_seed=1), method="gibbs"
+            model, data, cfg=ChainConfig(m_draws=60_000, rng_seed=1), method="gibbs"
         )
         view = poisson_re_view(model, data)
-        raw = raw_second_moment_blocks(sample, view)
+        raw = raw_second_moment_blocks(sample)
 
-        gam = np.array([view.gamma_from_draw(r) for r in sample.draws])
+        gam = sample.draws[:, 0]
         gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
-        eta = np.stack([view.eta_from_draw(r) for r in sample.draws])
+        eta = poisson_re_eta(sample.draws)
         mu = poisson_re_conditional_mean(model, data, gam)
-        j = view.conditional_cov(gam)
+        j = view.conditional_cov(sample.draws)
         eta_c = eta - eta.mean(axis=0)
         mu_c = mu - mu.mean(axis=0)
+        diag = np.arange(3), np.arange(3)
         l_blocks = np.zeros((3, 3, 2, 2))
-        l_blocks[np.arange(3), np.arange(3)] = l_diag_from_chain(sample, view)
+        l_blocks[diag] = l_diag_from_chain(sample, view)
         # M / N^2 = E_post[ gbar * mubar_g mubar_h^T ]
-        pred = l_blocks / 6.0 + np.einsum("m,mgi,mhj->ghij", gbar, mu_c, mu_c) / sample.m
+        m_term = np.einsum("m,mgi,mhj->ghij", gbar, mu_c, mu_c) / sample.m
+        pred = l_blocks / 6.0 + m_term
 
         per = gbar[:, None, None, None, None] * (
             np.einsum("mgi,mhj->mghij", eta_c, eta_c)
@@ -474,6 +475,10 @@ class TestMLMatrices:
         per[:, np.arange(3), np.arange(3)] -= gbar[:, None, None, None] * j
         se = per.std(axis=0, ddof=1) / math.sqrt(ess(gam))
         np.testing.assert_array_less(np.abs(raw - pred), 5.0 * se + 1e-12)
+
+        l_over_n = np.abs(l_blocks[diag][:, 1, 1]) / 6.0
+        assert np.all(l_over_n > np.abs(m_term[diag][:, 1, 1]))
+        assert np.all(l_over_n > 5.0 * se[diag][:, 1, 1])
 
 
 class TestKappaRho:
@@ -510,8 +515,6 @@ class TestKappaRho:
         inv = np.argsort(perm)
         relabeled = GroupedExpFamilyView(
             y=view.y, groups=inv[view.groups], g_count=6,
-            eta_from_draw=view.eta_from_draw,
-            gamma_from_draw=view.gamma_from_draw,
             conditional_cov=view.conditional_cov,
         )
         kr2 = kappa_and_rho(relabeled, m[perm], s[perm], l[perm])
@@ -592,8 +595,9 @@ class TestDiagnosePipeline:
         l_diag = l_diag_from_chain(sample, view)
         kr = kappa_and_rho(view, m, s, l_diag)
         assert terms.kappa_hat == kr.kappa_hat
+        assert terms.resid_t1_hat == kr.resid_t1_hat
         np.testing.assert_array_equal(terms.rho_nn, kr.rho_nn)
-        np.testing.assert_array_equal(terms.l_diag, l_diag)
+        np.testing.assert_array_equal(terms.per_group_trace, kr.per_group_trace)
         assert terms.kappa_hat == pytest.approx(terms.per_group_trace.mean())
 
     def test_unknown_moments_string(self):

@@ -540,6 +540,13 @@ class TestCliIj:
         assert code == 1
         assert "--loglik" in err
 
+    def test_g_expr_needs_one_value_per_draw(self, capsys, toy_files):
+        d, l = toy_files
+        code, out, err = run_cli(capsys, "ij", "--draws", str(d), "--loglik", str(l),
+                                 "--g-expr", "2.0")
+        assert code == 1 and out == ""
+        assert err == "error: --g-expr must give one value per draw (3), got shape ()\n"
+
     def test_unknown_option(self, capsys):
         code, _, err = run_cli(capsys, "ij", "--bogus")
         assert code == 1
@@ -631,6 +638,26 @@ class TestCliSimulateSample:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {cfg}: --config must be a JSON object")
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_config_json_names_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{simulate: {}}")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "simulate")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg}: Expecting property name")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("row", ["100000000000000000000,1", "-3,1", "2,-1"],
+                             ids=["count_beyond_int64", "negative_count", "negative_group"])
+    def test_out_of_range_dataset_row_refused(self, capsys, tmp_path, row):
+        data = tmp_path / "dataset.csv"
+        data.write_text(f"y,a\n2,0\n{row}\n1,2\n")
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "sample",
+                                 "--model", "poisson_re", "--g-count", "3", "--m", "40",
+                                 "--data", str(data))
+        assert code == 1 and out == ""
+        assert err == "error: row 2: y and a must lie in [0, 2^63)\n"
         assert not (tmp_path / "o").exists()
 
     def test_dataset_kind_mismatch(self, capsys, poisson_files):
