@@ -69,7 +69,7 @@ _MODEL_CHOICES = ("poisson_re", "normal")
 )
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Directory for output files.")
-@click.option("--threads", type=int, default=1, envvar="IJCOV_THREADS",
+@click.option("--threads", type=click.IntRange(min=1), default=1, envvar="IJCOV_THREADS",
               show_default=True, help="Worker count (results are identical for any value).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="File format for matrix outputs.")
@@ -163,8 +163,6 @@ def _chain_options(f):
                          help="Total sampler iterations (half burned in by default)."),
             click.option("--burn", "burn_in", type=int, default=None),
             click.option("--thin", type=int, default=1, show_default=True),
-            click.option("--method", type=click.Choice(["auto", "exact", "gibbs", "mh"]),
-                         default="auto", show_default=True),
         ]
     ):
         f = opt(f)
@@ -205,14 +203,13 @@ def simulate(ctx, model, n, g_count, gamma_true, alpha, beta, known_sd, dist, sc
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.pass_context
-def sample(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
-           method, data_path):
+def sample(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin, data_path):
     """Run a posterior chain; writes draws.csv and loglik.csv."""
     mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     cfg = ChainConfig(m_draws=m_draws, burn_in=burn_in, thin=thin,
                       rng_seed=ctx.obj["seed"])
-    s = sample_posterior(mdl, data, None, cfg, method=method)
+    s = sample_posterior(mdl, data, None, cfg)
     dpath = _out_path(ctx, "draws.csv") or Path("draws.csv")
     write_draws_csv(dpath, s)
     lpath = dpath.with_name("loglik.csv")
@@ -249,14 +246,13 @@ def ij(ctx, draws_path, loglik_path, g_cols, g_expr):
               help="Bootstrap replicates.")
 @click.pass_context
 def bootstrap(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
-              method, data_path, b_reps):
+              data_path, b_reps):
     """Weighted-bootstrap covariance with its delta-method SE."""
     mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     cfg = ChainConfig(m_draws=m_draws, burn_in=burn_in, thin=thin, rng_seed=0)
     est, rep_means = bootstrap_covariance(
-        mdl, data, cfg, b_reps, ctx.obj["seed"],
-        method=method, threads=ctx.obj["threads"],
+        mdl, data, cfg, b_reps, ctx.obj["seed"], threads=ctx.obj["threads"]
     )
     est = est.with_se(delta_method_boot_se(rep_means, data.n).xi)
     _emit_estimate(ctx, "v_boot", est)

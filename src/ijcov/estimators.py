@@ -21,12 +21,13 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
 from .models import Dataset, g_jacobian
-from .rng import KIND_BOOT, seed_sequence
+from .rng import KIND_BOOT, seed_sequence, stream
 from .samplers import ChainConfig, MapFit, PosteriorSample, sample_posterior
 
 __all__ = [
@@ -189,18 +190,25 @@ def map_replicates(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _bootstrap_replicate(args):
-    model, data, cfg, seed, rep, method = args
+def _replicate_mean(task):
+    """One replicate chain; returns its posterior mean of g.
+
+    ``inputs(stream(seed, kind, rep, 0))`` gives the replicate's (data,
+    weights) and the chain runs on stream (seed, kind, rep, 1), so a
+    (seed, kind, rep) triple fixes the result.  Any failure raises
+    NumericalError naming `label` and the replicate."""
+    label, inputs, model, cfg, seed, kind, rep = task
     try:
-        w_rng = np.random.Generator(np.random.Philox(seed_sequence(seed, KIND_BOOT, rep, 0)))
-        w = w_rng.multinomial(data.n, np.full(data.n, 1.0 / data.n)).astype(np.float64)
-        rep_cfg = dataclasses.replace(
-            cfg, rng_seed=seed_sequence(seed, KIND_BOOT, rep, 1)
-        )
-        sub = sample_posterior(model, data, w, rep_cfg, method=method, want_loglik=False)
-        return sub.g_values.mean(axis=0)
+        data, w = inputs(stream(seed, kind, rep, 0))
+        rep_cfg = dataclasses.replace(cfg, rng_seed=seed_sequence(seed, kind, rep, 1))
+        return sample_posterior(model, data, w, rep_cfg, want_loglik=False).g_values.mean(axis=0)
     except Exception as exc:  # noqa: BLE001 - re-raised with replicate index
-        raise NumericalError(f"bootstrap replicate {rep} failed: {exc}") from exc
+        raise NumericalError(f"{label} replicate {rep} failed: {exc}") from exc
+
+
+def _multinomial_weights(data: Dataset, rng) -> tuple:
+    """`data` with one Multinomial(N, 1/N) bootstrap weight vector."""
+    return data, rng.multinomial(data.n, np.full(data.n, 1.0 / data.n)).astype(np.float64)
 
 
 def bootstrap_covariance(
@@ -210,7 +218,6 @@ def bootstrap_covariance(
     b: int,
     seed: int,
     *,
-    method: str = "auto",
     threads: int = 1,
 ):
     """Multinomial-weight bootstrap of the posterior mean.
@@ -224,8 +231,9 @@ def bootstrap_covariance(
     """
     if b < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    tasks = [(model, data, cfg, seed, rep, method) for rep in range(b)]
-    means = np.asarray(map_replicates(_bootstrap_replicate, tasks, threads), dtype=np.float64)
+    inputs = partial(_multinomial_weights, data)
+    tasks = [("bootstrap", inputs, model, cfg, seed, KIND_BOOT, rep) for rep in range(b)]
+    means = np.asarray(map_replicates(_replicate_mean, tasks, threads), dtype=np.float64)
     v = _row_cov(math.sqrt(data.n) * means)
     return CovEstimate(v=v, method="boot", b_or_m=b), means
 

@@ -23,6 +23,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .diagnostics import diagnose, poisson_re_view
 from .errors import NumericalError, StageError
 from .estimators import (
     CovEstimate,
+    _replicate_mean,
     _row_cov,
     bayes_covariance,
     bootstrap_covariance,
@@ -49,7 +51,7 @@ from .reference import (
     simulate_poisson_re_conditional,
     SimSpec,
 )
-from .rng import KIND_GROUND_TRUTH, seed_sequence, stream
+from .rng import KIND_GROUND_TRUTH
 from .samplers import ChainConfig, map_optimize, sample_posterior
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "emit_report"]
@@ -238,26 +240,14 @@ def _simulate_observed(cfg: ExperimentConfig):
     return data, None
 
 
-def _gt_replicate(args):
-    """One conditional ground-truth replicate; returns the posterior mean of g."""
-    cfg, model, theta_true, rep = args
-    try:
-        data_rng = stream(cfg.seed, KIND_GROUND_TRUTH, rep, 0)
-        if cfg.model == "poisson_re":
-            data = simulate_poisson_re_conditional(cfg.n, theta_true, data_rng)
-        else:
-            data = simulate_misspecified_normal(
-                cfg.n, cfg.true_dist, scale=cfg.scale, df=cfg.df, rng=data_rng
-            )
-        chain_cfg = ChainConfig(
-            m_draws=cfg.m_draws,
-            burn_in=cfg.burn_in,
-            rng_seed=seed_sequence(cfg.seed, KIND_GROUND_TRUTH, rep, 1),
-        )
-        sub = sample_posterior(model, data, None, chain_cfg, want_loglik=False)
-        return sub.g_values.mean(axis=0)
-    except Exception as exc:  # noqa: BLE001 - re-raised with replicate index
-        raise NumericalError(f"ground-truth replicate {rep} failed: {exc}") from exc
+def _gt_dataset(cfg: ExperimentConfig, theta_true, rng) -> tuple:
+    """One conditional ground-truth dataset from `rng`, with unit weights."""
+    if cfg.model == "poisson_re":
+        return simulate_poisson_re_conditional(cfg.n, theta_true, rng), None
+    data = simulate_misspecified_normal(
+        cfg.n, cfg.true_dist, scale=cfg.scale, df=cfg.df, rng=rng
+    )
+    return data, None
 
 
 def _fourth_moment_se(t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -300,21 +290,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         v_bayes = v_bayes.with_se(xi_bayes.xi)
         v_ij = v_ij.with_se(xi_ij.xi)
 
+    # replicate chains take their seeds from the (seed, kind, rep) streams
+    rep_cfg = ChainConfig(m_draws=cfg.m_draws, burn_in=cfg.burn_in)
     with _Stage("bootstrap", timings):
         v_boot, rep_means = bootstrap_covariance(
-            model,
-            data,
-            ChainConfig(m_draws=cfg.m_draws, burn_in=cfg.burn_in, rng_seed=0),
-            cfg.b_boot,
-            cfg.seed,
-            threads=cfg.threads,
+            model, data, rep_cfg, cfg.b_boot, cfg.seed, threads=cfg.threads
         )
         v_boot = v_boot.with_se(delta_method_boot_se(rep_means, cfg.n).xi)
 
     with _Stage("ground_truth", timings):
-        tasks = [(cfg, model, theta_true, rep) for rep in range(cfg.r_ground_truth)]
-        gt_means = map_replicates(_gt_replicate, tasks, cfg.threads)
-        t = math.sqrt(cfg.n) * np.asarray(gt_means)
+        inputs = partial(_gt_dataset, cfg, theta_true)
+        tasks = [("ground-truth", inputs, model, rep_cfg, cfg.seed, KIND_GROUND_TRUTH, rep)
+                 for rep in range(cfg.r_ground_truth)]
+        t = math.sqrt(cfg.n) * np.asarray(map_replicates(_replicate_mean, tasks, cfg.threads))
         v = _row_cov(t)
         v_sim = CovEstimate(v=v, method="sim", se=_fourth_moment_se(t, v), b_or_m=t.shape[0])
 

@@ -94,6 +94,17 @@ def _parse_float(cell: str, row: int, col: str) -> float:
     return val
 
 
+def _parse_count(cell: str, row: int, col: str) -> int:
+    """An integer cell, exact at any size, or an integral float such as 3.0."""
+    try:
+        return int(cell)
+    except ValueError:
+        val = _parse_float(cell, row, col)
+    if val != int(val):
+        raise IngestError(f"row {row}: y and a must be integers")
+    return int(val)
+
+
 def write_dataset_csv(path, data: Dataset, kind: str) -> None:
     """`kind` "normal": one `x` column; "poisson_re": integer `y,a` columns."""
     if kind == "normal":
@@ -121,13 +132,10 @@ def read_dataset_csv(path) -> tuple[Dataset, str]:
         for i, row in enumerate(body):
             if len(row) != 2:
                 raise IngestError(f"row {i + 1}: expected 2 cells, got {len(row)}")
-            y = _parse_float(row[0], i + 1, "y")
-            a = _parse_float(row[1], i + 1, "a")
-            if y != int(y) or a != int(a):
-                raise IngestError(f"row {i + 1}: y and a must be integers")
-            if not (0 <= y < 2.0**63 and 0 <= a < 2.0**63):
+            y, a = (_parse_count(cell, i + 1, col) for cell, col in zip(row, "ya"))
+            if not (0 <= y < 2**63 and 0 <= a < 2**63):
                 raise IngestError(f"row {i + 1}: y and a must lie in [0, 2^63)")
-            units.append([int(y), int(a)])
+            units.append([y, a])
         return Dataset(np.array(units, dtype=np.int64)), "poisson_re"
     raise IngestError(f"{path}: unrecognized dataset header {header}")
 

@@ -16,7 +16,7 @@ below, each of which falls back on its own when its hook is missing:
     hook                      reader           fallback
     loglik_vector(data, th)   loglik_vector    loop over log_lik
     g_vector(draws)           g_matrix         loop over g
-    map_init / mh_init(data)  start_point      zeros(dim)
+    init(data)                start_point      zeros(dim)
     score(x, th)              score_matrix     Jacobian of loglik_vector
                               score_sum        gradient of the fsum of
                                                loglik_vector
@@ -27,13 +27,14 @@ below, each of which falls back on its own when its hook is missing:
 
 Every fallback derivative is one central difference, :func:`fd_jacobian`,
 with coordinate i moved by 1e-4 * (1 + |theta_i|); Hessians are
-symmetrized.  A start outside the domain that came from the origin
-fallback is reported with the name of the missing start hook.  Hooks read
-by one routine only stay with that routine in ``diagnostics``:
-``loglik_d3``/``prior_d3`` (third derivatives of 1-D models, else a
-4-point difference), ``log_prior_vector`` and ``domain_low``.
-``bclt_expansion_check`` requires ``sum_loglik_grid(data, thetas)`` (sum_n
-log_lik over a 1-D grid) and refuses a model without it.
+symmetrized.  ``init`` starts both the MAP optimizer and Metropolis; a
+start outside the domain that came from the origin fallback is reported
+as a missing ``init`` hook.  Hooks read by one routine only stay with that
+routine in ``diagnostics``: ``loglik_d3``/``prior_d3`` (third derivatives
+of 1-D models, else a 4-point difference), ``log_prior_vector`` and
+``domain_low``.  ``bclt_expansion_check`` requires
+``sum_loglik_grid(data, thetas)`` (sum_n log_lik over a 1-D grid) and
+refuses a model without it.
 
 All evaluations must be pure; they are called concurrently on shared
 immutable data.  Per-datum constants may be dropped from log_lik: posterior
@@ -185,17 +186,17 @@ def g_matrix(model, draws: np.ndarray) -> np.ndarray:
     return np.array([model.g(row) for row in draws], dtype=np.float64)
 
 
-def start_point(model, data: Dataset, hook: str) -> np.ndarray:
-    """A fresh copy of the model's `hook` ("map_init" or "mh_init") start
-    point for `data`, else the origin."""
-    if hasattr(model, hook):
-        return np.asarray(getattr(model, hook)(data), dtype=np.float64).copy()
+def start_point(model, data: Dataset) -> np.ndarray:
+    """A fresh copy of the model's ``init`` start point for `data`, else the
+    origin."""
+    if hasattr(model, "init"):
+        return np.asarray(model.init(data), dtype=np.float64).copy()
     return np.zeros(model.dim)
 
 
-def _origin_start_note(model, hook: str) -> str:
-    """Error-message clause naming `hook` when start_point fell back to the origin."""
-    return "" if hasattr(model, hook) else f" (the start is the origin: no {hook} hook)"
+def _origin_start_note(model) -> str:
+    """Error-message clause for a start that fell back to the origin."""
+    return "" if hasattr(model, "init") else " (the start is the origin: no init hook)"
 
 
 def score_matrix(model, data: Dataset, theta) -> np.ndarray:

@@ -133,10 +133,8 @@ class NormalMeanModel:
     def prior_d3(self, theta) -> float:
         return 0.0
 
-    def map_init(self, data: Dataset) -> np.ndarray:
+    def init(self, data: Dataset) -> np.ndarray:
         return np.array([float(np.mean(np.asarray(data.units, dtype=np.float64)))])
-
-    mh_init = map_init
 
     domain_low = -math.inf
 
@@ -276,11 +274,9 @@ class PoissonGammaConjugateModel:
             raise ValueError("improper Gamma posterior (zero counts and weights)")
         return shape, rate
 
-    def map_init(self, data: Dataset) -> np.ndarray:
+    def init(self, data: Dataset) -> np.ndarray:
         y = np.asarray(data.units, dtype=np.float64)
         return np.array([max(float(y.mean()), 0.5)])
-
-    mh_init = map_init
 
     domain_low = 0.0
 
@@ -389,13 +385,11 @@ class PoissonGammaREModel:
         h[np.arange(1, self.dim), np.arange(1, self.dim)] = -self.beta * np.exp(lam)
         return h
 
-    def mh_init(self, data: Dataset) -> np.ndarray:
+    def init(self, data: Dataset) -> np.ndarray:
         y = data.units[:, 0].astype(np.float64)
         lam0 = math.log(self.alpha / self.beta)
         gamma0 = math.log(max(y.mean(), 0.5)) - lam0
         return np.concatenate([[gamma0], np.full(self.group_count, lam0)])
-
-    map_init = mh_init
 
 
 @dataclass(frozen=True)

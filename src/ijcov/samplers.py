@@ -18,14 +18,15 @@ Three sampling paths share one entry point, :func:`sample_posterior`:
   Gamma(k, s) as s * standard_gamma(k), so this is the same RNG stream in the
   same order with the same products: the chain is bit-identical to drawing
   each conditional with ``rng.gamma``;
-* a random-walk Metropolis fallback for any other model, with Robbins-Monro
-  step adaptation toward 0.44 acceptance (1-D) or 0.23 (>= 2-D) during
-  burn-in only.
+* random-walk Metropolis for any other model, with Robbins-Monro step
+  adaptation toward 0.44 acceptance (1-D) or 0.23 (>= 2-D) during burn-in
+  only.
 
-Burn-in and thinning apply to the Markov samplers; the exact samplers return
-``m_draws`` IID draws as-is.  The Gibbs sweep starts from u_g = alpha/beta and
+The model's type picks the path; there is no override.  Burn-in and thinning
+apply to the Markov samplers; the exact samplers return ``m_draws`` IID draws
+as-is.  The Gibbs sweep starts from u_g = alpha/beta and
 e^gamma = sum_n w_n y_n / sum_g u_g sum_{n: a_n=g} w_n; random-walk Metropolis
-starts from the model's ``mh_init`` point, else the origin.  One chain is
+starts from the model's ``init`` point, else the origin.  One chain is
 strictly sequential; independent chains derive their own RNG streams from
 (seed, replicate-index).
 """
@@ -153,16 +154,15 @@ def sample_posterior(
     w=None,
     cfg: ChainConfig | None = None,
     *,
-    method: str = "auto",
     want_loglik: bool = True,
 ) -> PosteriorSample:
     """Draw from the w-weighted posterior of `model` given `data`.
 
-    Dispatch: exact conjugate draws for NormalMeanModel and
-    PoissonGammaConjugateModel, the Gibbs sweep for PoissonGammaREModel, and
-    random-walk Metropolis otherwise; ``method`` in {"auto", "exact",
-    "gibbs", "mh"} overrides.  The sample carries g(theta^m) per draw and
-    the M x N log-likelihood matrix when ``want_loglik``.
+    Exact conjugate draws for NormalMeanModel and PoissonGammaConjugateModel,
+    the Gibbs sweep for PoissonGammaREModel, and random-walk Metropolis for
+    any other model; ``meta["method"]`` records which ran.  The sample
+    carries g(theta^m) per draw and the M x N log-likelihood matrix when
+    ``want_loglik``.
     """
     if cfg is None:
         raise ValueError("cfg is required")
@@ -171,42 +171,25 @@ def sample_posterior(
     w = validate_weights(w, data.n)
     rng = stream(cfg.rng_seed, KIND_CHAIN)
 
-    if method == "auto":
-        if isinstance(model, (NormalMeanModel, PoissonGammaConjugateModel)):
-            method = "exact"
-        elif isinstance(model, PoissonGammaREModel):
-            method = "gibbs"
-        else:
-            method = "mh"
-
-    meta: dict = {"method": method, "seed": cfg.rng_seed, "weights": w.copy()}
-    if method == "exact":
-        draws = _exact_draws(model, data, w, cfg, rng)
-    elif method == "gibbs":
+    meta: dict = {"method": "exact", "seed": cfg.rng_seed, "weights": w.copy()}
+    if isinstance(model, NormalMeanModel):
+        mu, var = exact_normal_posterior(model, data, w)
+        draws = (mu + math.sqrt(var) * rng.standard_normal(cfg.m_draws))[:, None]
+    elif isinstance(model, PoissonGammaConjugateModel):
+        shape, rate = model.posterior_params(data, w)
+        draws = rng.gamma(shape, 1.0 / rate, size=cfg.m_draws)[:, None]
+    elif isinstance(model, PoissonGammaREModel):
+        meta["method"] = "gibbs"
         draws = _gibbs_poisson_re(model, data, w, cfg, rng)
-    elif method == "mh":
-        draws, step, rate = _mh_chain(model, data, w, cfg, rng)
-        meta["mh_step"] = step
-        meta["accept_rate"] = rate
     else:
-        raise ValueError(f"unknown method {method!r}")
+        meta["method"] = "mh"
+        draws, meta["mh_step"], meta["accept_rate"] = _mh_chain(model, data, w, cfg, rng)
 
     g_values = g_matrix(model, draws)
     loglik = log_lik_matrix(model, data, draws) if want_loglik else None
     return PosteriorSample(
         draws=draws, g_values=g_values, loglik=loglik, n_data=data.n, meta=meta
     )
-
-
-def _exact_draws(model, data, w, cfg, rng) -> np.ndarray:
-    m = cfg.m_draws
-    if isinstance(model, NormalMeanModel):
-        mu, var = exact_normal_posterior(model, data, w)
-        return (mu + math.sqrt(var) * rng.standard_normal(m))[:, None]
-    if isinstance(model, PoissonGammaConjugateModel):
-        shape, rate = model.posterior_params(data, w)
-        return rng.gamma(shape, 1.0 / rate, size=m)[:, None]
-    raise ValueError("exact sampling is only available for the conjugate models")
 
 
 # Standard-gamma variates pre-drawn per Gibbs chunk: 2^17 float64 = 1 MiB.
@@ -262,12 +245,12 @@ _MH_START_STEP = 0.5
 
 def _mh_chain(model, data, w, cfg, rng):
     d = model.dim
-    theta = start_point(model, data, "mh_init")
+    theta = start_point(model, data)
     logp = weighted_log_posterior(model, data, w, theta)
     if not math.isfinite(logp):
         raise NumericalError(
             "MH initialization has zero posterior density"
-            + _origin_start_note(model, "mh_init")
+            + _origin_start_note(model)
         )
 
     target = 0.44 if d == 1 else 0.23
@@ -339,12 +322,12 @@ def map_optimize(model, data: Dataset) -> MapFit:
     def hess(theta):
         return (hessian_sum(model, data, theta) + prior_hessian(model, theta)) / n
 
-    theta = start_point(model, data, "map_init")
+    theta = start_point(model, data)
 
     f = objective(theta)
     if not math.isfinite(f):
         raise NumericalError(
-            "MAP initialization outside the model domain" + _origin_start_note(model, "map_init")
+            "MAP initialization outside the model domain" + _origin_start_note(model)
         )
 
     def stationary():

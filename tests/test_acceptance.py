@@ -69,8 +69,7 @@ def test_criterion_1_consistency_and_rate():
 
     data = simulate_misspecified_normal(2000, "laplace", seed=0, scale=1.0)
     sample = sample_posterior(
-        model, data, cfg=ChainConfig(m_draws=20000, burn_in=0, rng_seed=0),
-        method="exact",
+        model, data, cfg=ChainConfig(m_draws=20000, burn_in=0, rng_seed=0)
     )
     v_ij = ij_covariance(influence_scores(sample)).v[0, 0]
     v_map = sandwich_covariance(map_optimize(model, data), model).v[0, 0]
@@ -110,8 +109,7 @@ def test_criterion_2_influence_score_oracle():
     data = Dataset(x)
     m_draws = 50000
     sample = sample_posterior(
-        model, data, cfg=ChainConfig(m_draws=m_draws, burn_in=0, rng_seed=0),
-        method="exact",
+        model, data, cfg=ChainConfig(m_draws=m_draws, burn_in=0, rng_seed=0)
     )
     psi_hat = influence_scores(sample).psi[:, 0]
     psi_oracle = normal_influence_oracle(model, data)[:, 0]
@@ -175,7 +173,7 @@ def test_criterion_5_kappa_diagnostic():
     data, _ = simulate_poisson_re(spec)
     model = PoissonGammaREModel(group_count=400, alpha=alpha, beta=beta)
     sample = quiet(sample_posterior, model, data,
-                   cfg=ChainConfig(m_draws=4000, rng_seed=0), method="gibbs")
+                   cfg=ChainConfig(m_draws=4000, rng_seed=0))
     terms = quiet(diagnose, sample, poisson_re_view(model, data))
     gap = abs(terms.rho_nn.mean() - terms.kappa_hat)
     tol = 5.0 / math.sqrt(400) * abs(terms.kappa_hat)
@@ -190,7 +188,7 @@ def test_criterion_5_kappa_diagnostic():
             d, theta_true = simulate_poisson_re(s)
             mdl = PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
             chain = quiet(sample_posterior, mdl, d,
-                          cfg=ChainConfig(m_draws=4000, rng_seed=seed), method="gibbs")
+                          cfg=ChainConfig(m_draws=4000, rng_seed=seed))
             kappas[g_count] = quiet(
                 diagnose, chain, poisson_re_view(mdl, d),
                 moments=poisson_re_truth_moments(theta_true),

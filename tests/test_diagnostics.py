@@ -412,7 +412,7 @@ class TestMLMatrices:
         data = Dataset(np.column_stack([y, np.arange(4)]))
         model = PoissonGammaREModel(group_count=4, alpha=25.0, beta=2.5)
         cfg = ChainConfig(m_draws=60_000, burn_in=2000, rng_seed=0)
-        sample = sample_posterior(model, data, cfg=cfg, method="gibbs")
+        sample = sample_posterior(model, data, cfg=cfg)
         l_diag = l_diag_from_chain(sample, poisson_re_view(model, data))
 
         a_g = 25.0 + y
@@ -449,7 +449,7 @@ class TestMLMatrices:
         data, _ = simulate_poisson_re(spec)
         model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=6.0)
         sample = sample_posterior(
-            model, data, cfg=ChainConfig(m_draws=60_000, rng_seed=1), method="gibbs"
+            model, data, cfg=ChainConfig(m_draws=60_000, rng_seed=1)
         )
         view = poisson_re_view(model, data)
         raw = raw_second_moment_blocks(sample)
@@ -587,7 +587,7 @@ class TestDiagnosePipeline:
         data, _ = simulate_poisson_re(spec)
         model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=1.5)
         sample = sample_posterior(
-            model, data, cfg=ChainConfig(m_draws=400, rng_seed=0), method="gibbs"
+            model, data, cfg=ChainConfig(m_draws=400, rng_seed=0)
         )
         view = poisson_re_view(model, data)
         terms = diagnose(sample, view)
@@ -605,7 +605,7 @@ class TestDiagnosePipeline:
         data, _ = simulate_poisson_re(spec)
         model = PoissonGammaREModel(group_count=2, alpha=3.0, beta=1.5)
         sample = sample_posterior(
-            model, data, cfg=ChainConfig(m_draws=100, rng_seed=0), method="gibbs"
+            model, data, cfg=ChainConfig(m_draws=100, rng_seed=0)
         )
         with pytest.raises(ValueError, match="moments"):
             diagnose(sample, poisson_re_view(model, data), moments="bogus")

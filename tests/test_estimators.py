@@ -227,6 +227,14 @@ class TestBootstrapCovariance:
         assert v.v[0, 0] == pytest.approx(s2, rel=0.5)
         assert v.b_or_m == 120
 
+    def test_failed_replicate_named(self):
+        # all-zero counts make the Gibbs conditional of gamma improper
+        data = Dataset(np.array([[0, 0], [0, 1], [0, 1]], dtype=np.int64))
+        model = PoissonGammaREModel(group_count=2, alpha=3.0, beta=1.5)
+        with pytest.raises(NumericalError,
+                           match="bootstrap replicate 0 failed: improper conditional"):
+            bootstrap_covariance(model, data, ChainConfig(m_draws=40), b=4, seed=0)
+
 
 class TestMapReplicates:
     @pytest.fixture()

@@ -309,7 +309,7 @@ class TestStageFailures:
         )
         with pytest.raises(NumericalError, match="stage 'ground_truth'") as exc:
             run_quiet(ExperimentConfig(**TINY))
-        assert "replicate 0" in str(exc.value)
+        assert "ground-truth replicate 0 failed: synthetic failure" in str(exc.value)
 
 
 class TestNormalStudy:

@@ -129,6 +129,18 @@ class TestDatasetCsv:
         with pytest.raises(IngestError, match="integers"):
             read_dataset_csv(path)
 
+    def test_counts_beyond_float_precision_load_exactly(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("y,a\n9007199254740993,0\n9223372036854775807,1\n3.0,1.0\n")
+        back, _ = read_dataset_csv(path)
+        assert back.units.tolist() == [[2**53 + 1, 0], [2**63 - 1, 1], [3, 1]]
+
+    def test_count_of_two_to_the_63_refused(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("y,a\n1,0\n9223372036854775808,1\n")
+        with pytest.raises(IngestError, match=r"row 2: y and a must lie in \[0, 2\^63\)"):
+            read_dataset_csv(path)
+
     def test_ragged_normal_row_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"x\r\n1.0,99\r\n2.0\r\n")
@@ -140,7 +152,7 @@ def small_chain(m=600):
     data = Dataset(np.array([[3, 0], [1, 1], [4, 2], [2, 2]], dtype=np.int64))
     model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=1.5)
     cfg = ChainConfig(m_draws=m, rng_seed=5)
-    return sample_posterior(model, data, cfg=cfg, method="gibbs")
+    return sample_posterior(model, data, cfg=cfg)
 
 
 class TestDrawFileRoundTrip:
@@ -702,6 +714,36 @@ class TestCliEstimators:
         assert code == 0
         assert "se:" in out
         assert (tmp_path / "v_boot.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["sample", "bootstrap"])
+    def test_method_option_is_gone(self, capsys, tmp_path, sub):
+        data = tmp_path / "dataset.csv"
+        data.write_text("x\n0.5\n-1.0\n2.0\n")
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), sub,
+                                 "--model", "normal", "--m", "40", "--data", str(data),
+                                 "--method", "gibbs" if sub == "sample" else "mh")
+        assert code == 1 and out == ""
+        assert "No such option" in err and "--method" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("how", ["flag_zero", "env_negative"])
+    def test_threads_below_one_refused_before_compute(self, capsys, monkeypatch,
+                                                      poisson_files, tmp_path, how):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("bootstrap ran with threads < 1")
+
+        monkeypatch.setattr("ijcov.cli.bootstrap_covariance", no_compute)
+        argv = ["--out", str(tmp_path / "o")]
+        if how == "flag_zero":
+            argv = ["--threads", "0", *argv]
+        else:
+            monkeypatch.setenv("IJCOV_THREADS", "-3")
+        code, out, err = run_cli(capsys, *argv, "bootstrap", "--model", "poisson_re",
+                                 "--g-count", "3", "--m", "200", "--b", "12",
+                                 "--data", str(poisson_files["dataset"]))
+        assert code == 1 and out == ""
+        assert "Invalid value for '--threads'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bootstrap_too_few_replicates(self, capsys, poisson_files):
         code, _, err = run_cli(

@@ -113,12 +113,28 @@ def exact_chain():
                             cfg=ChainConfig(m_draws=1000, rng_seed=2))
 
 
-def re_chain(method):
+class MetropolisOnly:
+    """Forwards every attribute to `inner` under a type that has no
+    dedicated sampler, so sample_posterior runs random-walk Metropolis."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def re_problem(method):
+    """The RE model, as is for "gibbs" or wrapped for "mh", and its data."""
     spec = SimSpec(n=30, g_count=3, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=3)
     data, _ = simulate_poisson_re(spec)
     model = PoissonGammaREModel(group_count=3, alpha=25.0, beta=2.5)
-    return sample_posterior(model, data, cfg=ChainConfig(m_draws=1200, rng_seed=4),
-                            method=method)
+    return (MetropolisOnly(model) if method == "mh" else model), data
+
+
+def re_chain(method):
+    model, data = re_problem(method)
+    return sample_posterior(model, data, cfg=ChainConfig(m_draws=1200, rng_seed=4))
 
 
 def mh_chain_all_params():
@@ -222,13 +238,10 @@ class TestCoreAgainstDirectFormulas:
             model = NormalMeanModel(known_sd=1.0)
             data = simulate_misspecified_normal(40, "laplace", seed=2)
         else:
-            spec = SimSpec(n=30, g_count=3, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=3)
-            data, _ = simulate_poisson_re(spec)
-            model = PoissonGammaREModel(group_count=3, alpha=25.0, beta=2.5)
+            model, data = re_problem(method)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            est, means = bootstrap_covariance(model, data, ChainConfig(m_draws=200), 12, seed=1,
-                                              method=method)
+            est, means = bootstrap_covariance(model, data, ChainConfig(m_draws=200), 12, seed=1)
         t_c = _centered(math.sqrt(data.n) * means)
         assert np.array_equal(est.v, _sym(t_c.T @ t_c / (12 - 1)))
 

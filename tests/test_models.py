@@ -164,10 +164,10 @@ def _normal_case():
 
 def _poisson_case():
     # The default start (the origin) is a zero rate, outside the domain, so
-    # every Poisson wrapper keeps the model's start points.
+    # every Poisson wrapper keeps the model's start point.
     y = np.random.default_rng(4).poisson(3.0, size=40)
     return (PoissonGammaConjugateModel(2.0, 1.0), Dataset(y),
-            ("map_init", "mh_init"), np.array([2.5]))
+            ("init",), np.array([2.5]))
 
 
 class TestHookCombinations:
@@ -196,8 +196,8 @@ class TestHookCombinations:
         assert weighted_log_posterior(model, data, w, theta) == pytest.approx(
             weighted_log_posterior(full, data, w, theta), rel=1e-12)
 
-        s = sample_posterior(model, data, cfg=ChainConfig(m_draws=200, rng_seed=1),
-                             method="mh")
+        s = sample_posterior(model, data, cfg=ChainConfig(m_draws=200, rng_seed=1))
+        assert s.meta["method"] == "mh"
         np.testing.assert_array_equal(s.g_values, s.draws)
 
     def test_present_hook_is_used_exactly(self):
@@ -212,18 +212,18 @@ class TestHookCombinations:
 
 class TestMissingStartHook:
     """A hook-free Poisson model starts at the origin, a zero rate outside
-    the domain; the refusal names the missing start hook."""
+    the domain; the refusal names the missing init hook."""
 
-    def test_map_optimize_names_map_init(self):
+    def test_map_optimize_names_init(self):
         _, data, _, _ = _poisson_case()
-        with pytest.raises(NumericalError, match="outside the model domain.*no map_init hook"):
+        with pytest.raises(NumericalError, match="outside the model domain.*no init hook"):
             map_optimize(_wrap(PoissonGammaConjugateModel(2.0, 1.0)), data)
 
-    def test_mh_names_mh_init(self):
+    def test_mh_names_init(self):
         _, data, _, _ = _poisson_case()
-        with pytest.raises(NumericalError, match="zero posterior density.*no mh_init hook"):
+        with pytest.raises(NumericalError, match="zero posterior density.*no init hook"):
             sample_posterior(_wrap(PoissonGammaConjugateModel(2.0, 1.0)), data,
-                             cfg=ChainConfig(m_draws=200), method="mh")
+                             cfg=ChainConfig(m_draws=200))
 
 
 class TestBcltHooks:

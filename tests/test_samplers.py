@@ -166,7 +166,7 @@ class TestGibbsChunkedSweep:
             if g_count > 1:  # some groups carry no weight at all
                 assert (mask_group_fsum(w, data.units[:, 1], g_count) == 0).any()
         cfg = ChainConfig(rng_seed=17, **settings)
-        got = sample_posterior(model, data, w, cfg, method="gibbs", want_loglik=False).draws
+        got = sample_posterior(model, data, w, cfg, want_loglik=False).draws
         assert got.shape == (cfg.retained(), 1 + g_count)
         assert np.array_equal(got, per_iteration_gibbs(model, data, w, cfg))
 
@@ -178,6 +178,17 @@ class TestGibbsChunkedSweep:
         got = samplers._group_fsum(values, groups, 7)
         assert np.array_equal(got, mask_group_fsum(values, groups, 7))
         assert got[5] == 0.0
+
+
+class MetropolisOnly:
+    """Forwards every attribute to `inner` under a type that has no
+    dedicated sampler, so sample_posterior runs random-walk Metropolis."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def collapsed_gamma_mean(model, data):
@@ -219,7 +230,7 @@ class TestGibbsSampler:
                                               alpha=alpha, beta=beta, rng_seed=11))
         model = PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
         s = sample_posterior(model, data, cfg=ChainConfig(m_draws=m_draws, rng_seed=0),
-                             method="gibbs", want_loglik=False)
+                             want_loglik=False)
         gam = s.draws[:, 0]
         mcse = gam.std(ddof=1) / math.sqrt(ess(gam))
         assert abs(gam.mean() - collapsed_gamma_mean(model, data)) < 4 * mcse
@@ -231,9 +242,10 @@ class TestGibbsSampler:
         data, _ = simulate_poisson_re(spec)
         model = PoissonGammaREModel(group_count=3, alpha=25.0, beta=2.5)
         sg = sample_posterior(model, data, cfg=ChainConfig(m_draws=40_000, rng_seed=0),
-                              method="gibbs", want_loglik=False)
-        sm = sample_posterior(model, data, cfg=ChainConfig(m_draws=80_000, rng_seed=1),
-                              method="mh", want_loglik=False)
+                              want_loglik=False)
+        sm = sample_posterior(MetropolisOnly(model), data,
+                              cfg=ChainConfig(m_draws=80_000, rng_seed=1), want_loglik=False)
+        assert (sg.meta["method"], sm.meta["method"]) == ("gibbs", "mh")
         gg, gm = sg.g_values[:, 0], sm.g_values[:, 0]
         se = math.hypot(gg.std(ddof=1) / math.sqrt(ess(gg)),
                         gm.std(ddof=1) / math.sqrt(ess(gm)))
