@@ -127,8 +127,13 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
         b = model.beta + n_g[None, :] * c
         j = np.empty((gam.size, g_count, 2, 2))
         j[:, :, 0, 0] = psi1_a[None, :]
-        j[:, :, 0, 1] = j[:, :, 1, 0] = -c / b
-        j[:, :, 1, 1] = c**2 * a_g[None, :] / b**2
+        # -c / b and c**2 a_g / b**2 written into j and b, with no M x G
+        # temporary (a copy between two fields of j would buffer one)
+        np.divide(-c, b, out=j[:, :, 0, 1])
+        np.divide(-c, b, out=j[:, :, 1, 0])
+        np.multiply(b, b, out=b)
+        np.multiply(c**2, a_g[None, :], out=j[:, :, 1, 1])
+        np.divide(j[:, :, 1, 1], b, out=j[:, :, 1, 1])
         return j
 
     return GroupedExpFamilyView(

@@ -11,7 +11,8 @@ and the Bayes covariance with divisor M-1 over draws, for the whole chain
 and for each block-bootstrap replicate of :mod:`ijcov.mc_error`.
 `_row_cov` divides by rows - ddof: N-1 over influence scores, B-1 and R-1
 over bootstrap and ground-truth replicates, N^N for the exhaustive
-bootstrap.  The sandwich's score covariance uses divisor N.
+bootstrap.  The sandwich's score covariance uses divisor N.  Bootstrap and
+ground-truth replicate chains all run through `replicate_means`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import NumericalError
 from .models import Dataset, g_jacobian
 from .rng import KIND_BOOT, seed_sequence, stream
-from .samplers import ChainConfig, MapFit, PosteriorSample, sample_posterior
+from .samplers import ChainConfig, MapFit, PosteriorSample, posterior_means, validate_data
 
 __all__ = [
     "InfluenceMatrix",
@@ -190,20 +191,43 @@ def map_replicates(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _replicate_mean(task):
-    """One replicate chain; returns its posterior mean of g.
+# Replicate slices per pool worker: with one, the slower worker sets the wall
+# time; four balance the load and leave several chains per lockstep sweep.
+_SLICES_PER_WORKER = 4
 
-    ``inputs(stream(seed, kind, rep, 0))`` gives the replicate's (data,
-    weights) and the chain runs on stream (seed, kind, rep, 1), so a
-    (seed, kind, rep) triple fixes the result.  Any failure raises
-    NumericalError naming `label` and the replicate."""
-    label, inputs, model, cfg, seed, kind, rep = task
+
+def replicate_means(label: str, inputs, model, cfg: ChainConfig, seed, kind: int,
+                    count: int, threads: int) -> np.ndarray:
+    """count x q posterior means of g.  Replicate r runs on the (data,
+    weights) ``inputs(stream(seed, kind, r, 0))`` with chain stream
+    (seed, kind, r, 1).  ``range(count)`` is cut into at most 4 x `threads`
+    balanced contiguous slices, each one `posterior_means` call (one lockstep
+    sweep), mapped in order, so no layout moves a bit.  A failure raises
+    NumericalError naming `label` and the lowest failing replicate; a
+    ValueError (bad input) passes through."""
+    slices = min(count, _SLICES_PER_WORKER * threads)
+    bounds = [count * i // slices for i in range(slices + 1)]
+    tasks = [(label, inputs, model, cfg, seed, kind, range(a, b))
+             for a, b in zip(bounds, bounds[1:])]
+    return np.concatenate(map_replicates(_replicate_slice, tasks, threads))
+
+
+def _replicate_slice(task) -> np.ndarray:
+    """One slice of `replicate_means`; when it fails, its replicates rerun
+    one at a time, so the lowest failing one names itself."""
+    label, inputs, model, cfg, seed, kind, reps = task
     try:
-        data, w = inputs(stream(seed, kind, rep, 0))
-        rep_cfg = dataclasses.replace(cfg, rng_seed=seed_sequence(seed, kind, rep, 1))
-        return sample_posterior(model, data, w, rep_cfg, want_loglik=False).g_values.mean(axis=0)
+        chains = [(*inputs(stream(seed, kind, r, 0)), seed_sequence(seed, kind, r, 1))
+                  for r in reps]
+        return posterior_means(model, chains, cfg)
+    except ValueError:
+        raise
     except Exception as exc:  # noqa: BLE001 - re-raised with replicate index
-        raise NumericalError(f"{label} replicate {rep} failed: {exc}") from exc
+        if len(reps) == 1:
+            raise NumericalError(f"{label} replicate {reps[0]} failed: {exc}") from exc
+        for r in reps:
+            _replicate_slice((label, inputs, model, cfg, seed, kind, range(r, r + 1)))
+        raise
 
 
 def _multinomial_weights(data: Dataset, rng) -> tuple:
@@ -224,16 +248,17 @@ def bootstrap_covariance(
 
     Draws B weight vectors w^b ~ Multinomial(N, 1/N), reruns the sampler
     under each, and returns (CovEstimate of sqrt(N) * replicate means with
-    divisor B-1, the raw B x q replicate-mean matrix).  Replicates use
-    independent (seed, replicate) RNG streams and an ordered reduction, so
-    the result is identical for any worker count.  A replicate failure
-    raises, naming the replicate — no silent skipping.
+    divisor B-1, the raw B x q replicate-mean matrix).  The replicates run
+    through :func:`replicate_means`, so the result is identical for any
+    worker count.  The data are checked once, before any replicate starts
+    (ValueError); a replicate failure raises NumericalError naming the
+    lowest failing replicate — no silent skipping.
     """
     if b < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    inputs = partial(_multinomial_weights, data)
-    tasks = [("bootstrap", inputs, model, cfg, seed, KIND_BOOT, rep) for rep in range(b)]
-    means = np.asarray(map_replicates(_replicate_mean, tasks, threads), dtype=np.float64)
+    validate_data(model, data)
+    means = replicate_means("bootstrap", partial(_multinomial_weights, data), model, cfg,
+                            seed, KIND_BOOT, b, threads)
     v = _row_cov(math.sqrt(data.n) * means)
     return CovEstimate(v=v, method="boot", b_or_m=b), means
 

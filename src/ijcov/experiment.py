@@ -32,13 +32,12 @@ from .diagnostics import diagnose, poisson_re_view
 from .errors import NumericalError, StageError
 from .estimators import (
     CovEstimate,
-    _replicate_mean,
     _row_cov,
     bayes_covariance,
     bootstrap_covariance,
     ij_covariance,
     influence_scores,
-    map_replicates,
+    replicate_means,
     sandwich_covariance,
 )
 from .io import SCHEMA_VERSION, cov_from_dict, cov_to_dict, write_csv, write_json
@@ -97,10 +96,9 @@ class ExperimentConfig:
             raise ValueError("need n >= g_count")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.se_reps < 50:
-            raise ValueError("se_reps must be >= 50")
-        if self.b_boot < 10:
-            raise ValueError("b_boot must be >= 10")
+        for name, floor in (("se_reps", 50), ("b_boot", 10), ("r_ground_truth", 10)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}")
         # ChainConfig refuses a bad burn_in here instead of in the chain
         # stage; the normal study's exact sampler keeps every draw
         chain = ChainConfig(m_draws=self.m_draws, burn_in=self.burn_in)
@@ -299,10 +297,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         v_boot = v_boot.with_se(delta_method_boot_se(rep_means, cfg.n).xi)
 
     with _Stage("ground_truth", timings):
-        inputs = partial(_gt_dataset, cfg, theta_true)
-        tasks = [("ground-truth", inputs, model, rep_cfg, cfg.seed, KIND_GROUND_TRUTH, rep)
-                 for rep in range(cfg.r_ground_truth)]
-        t = math.sqrt(cfg.n) * np.asarray(map_replicates(_replicate_mean, tasks, cfg.threads))
+        t = math.sqrt(cfg.n) * replicate_means(
+            "ground-truth", partial(_gt_dataset, cfg, theta_true), model, rep_cfg, cfg.seed,
+            KIND_GROUND_TRUTH, cfg.r_ground_truth, cfg.threads)
         v = _row_cov(t)
         v_sim = CovEstimate(v=v, method="sim", se=_fourth_moment_se(t, v), b_or_m=t.shape[0])
 

@@ -17,7 +17,13 @@ Three sampling paths share one entry point, :func:`sample_posterior`:
   state-dependent 1/rate in the sequential recursion.  numpy draws
   Gamma(k, s) as s * standard_gamma(k), so this is the same RNG stream in the
   same order with the same products: the chain is bit-identical to drawing
-  each conditional with ``rng.gamma``;
+  each conditional with ``rng.gamma``.  :func:`posterior_means` runs K such
+  chains in lockstep, one K x G array operation per step instead of K
+  1-D ones, and each chain keeps its bits: every chain draws from its own
+  stream in the same order, the elementwise steps round each element
+  correctly whatever the array around it, and each chain's u . w_g stays
+  one BLAS dot (one row of ``np.vecdot``; a matrix product would change
+  the summation order);
 * random-walk Metropolis for any other model, with Robbins-Monro step
   adaptation toward 0.44 acceptance (1-D) or 0.23 (>= 2-D) during burn-in
   only.
@@ -33,6 +39,7 @@ strictly sequential; independent chains derive their own RNG streams from
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -180,7 +187,7 @@ def sample_posterior(
         draws = rng.gamma(shape, 1.0 / rate, size=cfg.m_draws)[:, None]
     elif isinstance(model, PoissonGammaREModel):
         meta["method"] = "gibbs"
-        draws = _gibbs_poisson_re(model, data, w, cfg, rng)
+        draws = _gibbs_poisson_re(model, [(data, w, rng)], cfg, full_rows=True)
     else:
         meta["method"] = "mh"
         draws, meta["mh_step"], meta["accept_rate"] = _mh_chain(model, data, w, cfg, rng)
@@ -192,51 +199,102 @@ def sample_posterior(
     )
 
 
-# Standard-gamma variates pre-drawn per Gibbs chunk: 2^17 float64 = 1 MiB.
+# Standard-gamma variates pre-drawn per Gibbs chunk, over all the chains of
+# one lockstep sweep: 2^17 float64 = 1 MiB.
 _GAMMA_CHUNK_VARIATES = 1 << 17
 
 
-def _gibbs_poisson_re(model: PoissonGammaREModel, data, w, cfg, rng) -> np.ndarray:
+def posterior_means(model, chains, cfg: ChainConfig) -> np.ndarray:
+    """(K, q) posterior means of g of the chains (data, w, seed), each the
+    bits of ``sample_posterior(model, data, w, cfg with rng_seed=seed)
+    .g_values.mean(axis=0)``: random-effects chains as one lockstep Gibbs
+    sweep that keeps only gamma, other models one chain at a time."""
+    if isinstance(model, PoissonGammaREModel):
+        rngs = [(data, w, stream(seed, KIND_CHAIN)) for data, w, seed in chains]
+        return _gibbs_poisson_re(model, rngs, cfg, full_rows=False)
+    return np.array([sample_posterior(model, data, w, dataclasses.replace(cfg, rng_seed=seed),
+                                      want_loglik=False).g_values.mean(axis=0)
+                     for data, w, seed in chains])
+
+
+def validate_data(model, data: Dataset) -> None:
+    """Refuse random-effects data with group labels outside [0, group_count)."""
+    if isinstance(model, PoissonGammaREModel):
+        groups = data.units[:, 1]
+        if groups.min() < 0 or groups.max() >= model.group_count:
+            raise ValueError("group labels outside [0, group_count)")
+
+
+def _gibbs_poisson_re(model: PoissonGammaREModel, chains, cfg, *, full_rows: bool):
+    """The Gibbs sweep over the K chains (data, w, rng) in lockstep.  With
+    `full_rows` (K = 1) it returns the retained draws (gamma, lambda_1..G);
+    else the K x 1 means of gamma, a NumericalError if e^gamma leaves (0, inf)."""
     g_count = model.group_count
-    y = data.units[:, 0].astype(np.float64)
-    groups = data.units[:, 1].astype(np.int64)
-    if groups.min() < 0 or groups.max() >= g_count:
-        raise ValueError("group labels outside [0, group_count)")
+    k_count = len(chains)
+    w_g = np.empty((k_count, g_count))
+    # Row k holds chain k's G u-shapes, then its e^gamma shape.
+    shapes = np.empty((k_count, g_count + 1))
+    c = np.empty(k_count)
+    u0 = np.full(g_count, model.alpha / model.beta)
+    for k, (data, w, _) in enumerate(chains):
+        validate_data(model, data)
+        w = validate_weights(ones_weights(data.n) if w is None else w, data.n)
+        y = data.units[:, 0].astype(np.float64)
+        groups = data.units[:, 1].astype(np.int64)
+        w_g[k] = _group_fsum(w, groups, g_count)
+        s_wy = math.fsum((w * y).tolist())
+        if s_wy <= 0:
+            raise NumericalError(
+                "improper conditional for gamma: sum of weighted counts is zero "
+                "under the flat prior"
+            )
+        shapes[k, :g_count] = model.alpha + _group_fsum(w * y, groups, g_count)
+        shapes[k, g_count] = s_wy
+        c[k] = s_wy / float(u0 @ w_g[k])
 
-    wy_g = _group_fsum(w * y, groups, g_count)
-    w_g = _group_fsum(w, groups, g_count)
-    s_wy = math.fsum((w * y).tolist())
-    if s_wy <= 0:
-        raise NumericalError(
-            "improper conditional for gamma: sum of weighted counts is zero "
-            "under the flat prior"
-        )
-
-    shape_u = model.alpha + wy_g
     burn = cfg.resolved_burn_in
     m_ret = cfg.retained()
-    draws = np.empty((m_ret, 1 + g_count))
-
-    u = np.full(g_count, model.alpha / model.beta)
-    c = s_wy / float(u @ w_g)
-
-    # Row j of a chunk holds iteration j's G u-variates, then its c-variate:
-    # the order in which per-iteration rng.gamma calls consume the stream.
-    shapes = np.append(shape_u, s_wy)
-    chunk = max(1, _GAMMA_CHUNK_VARIATES // (g_count + 1))
-    k = 0
+    kept = np.empty((m_ret, 1 + g_count) if full_rows else (m_ret, k_count))
+    u, rate = np.empty((2, k_count, g_count))
+    dots = np.empty(k_count)
+    c_col = c[:, None]  # c is only ever written in place
+    # Chunk row j of chain k holds iteration j's G u-variates, then its
+    # c-variate: the order in which per-iteration rng.gamma calls consume
+    # chain k's stream.
+    chunk = max(1, _GAMMA_CHUNK_VARIATES // (k_count * (g_count + 1)))
+    z = np.empty((k_count, min(chunk, cfg.m_draws), g_count + 1))
+    i = 0
     for start in range(0, cfg.m_draws, chunk):
         n_it = min(chunk, cfg.m_draws - start)
-        z = rng.standard_gamma(np.broadcast_to(shapes, (n_it, g_count + 1)))
+        for z_k, shape_k, (_, _, rng) in zip(z, shapes, chains):
+            rng.standard_gamma(np.broadcast_to(shape_k, (n_it, g_count + 1)), out=z_k[:n_it])
         for j in range(n_it):
-            u = z[j, :g_count] * (1.0 / (model.beta + c * w_g))
-            c = (1.0 / float(u @ w_g)) * z[j, g_count]
+            # u = z * (1 / (beta + c w_g)), then c = (1 / (u . w_g)) * z_c; `out`
+            # goes third, by position: parsing the keyword costs ~15% of a call
+            np.multiply(c_col, w_g, rate)
+            np.add(model.beta, rate, rate)
+            np.divide(1.0, rate, rate)
+            np.multiply(z[:, j, :g_count], rate, u)
+            np.vecdot(u, w_g, dots)
+            np.divide(1.0, dots, c)
+            np.multiply(c, z[:, j, g_count], c)
             it = start + j
             if it >= burn and (it - burn) % cfg.thin == 0:
-                draws[k, 0] = math.log(c)
-                draws[k, 1:] = np.log(u)
-                k += 1
-    return draws[:k]
+                if full_rows:
+                    kept[i, 0] = math.log(c[0])
+                    kept[i, 1:] = np.log(u[0])
+                else:
+                    kept[i] = c
+                i += 1
+    if full_rows:
+        return kept
+    if not (np.isfinite(kept).all() and (kept > 0).all()):
+        raise NumericalError("e^gamma left (0, inf) in a replicate chain")
+    # each chain's (m, 1) gamma column and its mean, as sample_posterior has them
+    return np.array([
+        np.array([math.log(x) for x in col]).reshape(-1, 1).mean(axis=0)
+        for col in kept.T.tolist()
+    ])
 
 
 # Random-walk Metropolis step at the start of burn-in, before adaptation.

@@ -25,7 +25,7 @@ kills constants.  A long Gibbs chain must reproduce these within MC error.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -581,7 +581,48 @@ class TestKappaRho:
             assert abs(kappas[40]) < abs(kappas[400]) / 5.0
 
 
+def expression_conditional_cov(model, data):
+    """poisson_re_view's conditional_cov as whole-array expressions, with
+    their M x G temporaries: the oracle for the in-place version."""
+    counts = data.units[:, 0].astype(np.float64)
+    groups = data.units[:, 1].astype(np.int64)
+    n_g = np.bincount(groups, minlength=model.group_count).astype(np.float64)
+    a_g = model.alpha + np.bincount(groups, weights=counts, minlength=model.group_count)
+    psi1_a = special_trigamma(a_g)
+
+    def conditional_cov(draws):
+        gam = np.ascontiguousarray(draws[:, 0], dtype=np.float64)
+        c = np.exp(gam)[:, None]
+        b = model.beta + n_g[None, :] * c
+        j = np.empty((gam.size, model.group_count, 2, 2))
+        j[:, :, 0, 0] = psi1_a[None, :]
+        j[:, :, 0, 1] = j[:, :, 1, 0] = -c / b
+        j[:, :, 1, 1] = c**2 * a_g[None, :] / b**2
+        return j
+
+    return conditional_cov
+
+
 class TestDiagnosePipeline:
+    @pytest.mark.parametrize("g_count", [3, 40, 400])
+    def test_in_place_conditional_cov_keeps_every_bit(self, g_count):
+        spec = SimSpec(n=400, g_count=g_count, gamma_true=1.5, alpha=25.0, beta=2.5,
+                       rng_seed=5)
+        data, _ = simulate_poisson_re(spec)
+        model = PoissonGammaREModel(group_count=g_count, alpha=25.0, beta=2.5)
+        sample = sample_posterior(model, data, cfg=ChainConfig(m_draws=600, rng_seed=0),
+                                  want_loglik=False)
+        view = poisson_re_view(model, data)
+        old = replace(view, conditional_cov=expression_conditional_cov(model, data))
+        assert np.array_equal(view.conditional_cov(sample.draws),
+                              old.conditional_cov(sample.draws))
+        assert np.array_equal(l_diag_from_chain(sample, view), l_diag_from_chain(sample, old))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # groups with no data
+            new_terms, old_terms = diagnose(sample, view), diagnose(sample, old)
+        assert new_terms.kappa_hat == old_terms.kappa_hat
+        assert new_terms.resid_t1_hat == old_terms.resid_t1_hat
+
     def test_composes_the_pieces(self):
         spec = SimSpec(n=12, g_count=3, gamma_true=0.2, alpha=3.0, beta=1.5, rng_seed=1)
         data, _ = simulate_poisson_re(spec)

@@ -12,6 +12,8 @@ The two-draw hand example used throughout:
     V_Bayes = N * cov(g, ddof=1) = 2 * 8 = 16
 """
 
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -43,6 +45,7 @@ from ijcov import (
     sandwich_covariance,
     simulate_poisson_re,
 )
+from ijcov.rng import KIND_BOOT, seed_sequence, stream
 
 
 def hand_sample():
@@ -234,6 +237,49 @@ class TestBootstrapCovariance:
         with pytest.raises(NumericalError,
                            match="bootstrap replicate 0 failed: improper conditional"):
             bootstrap_covariance(model, data, ChainConfig(m_draws=40), b=4, seed=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_chain_mid_slice_names_its_replicate(self, threads):
+        # only datum 0 has a count, so a replicate whose weights miss it has
+        # an improper gamma conditional: at seed 12, replicates 3 and 7.  At
+        # threads=1 the slices are [0, 2), [2, 5), [5, 7), [7, 10), so 3 fails
+        # inside a lockstep slice
+        data = Dataset(np.array([[5, 0], [0, 0], [0, 1], [0, 1]], dtype=np.int64))
+        missed = [r for r in range(10)
+                  if estimators._multinomial_weights(data, stream(12, KIND_BOOT, r, 0))[1][0] == 0]
+        assert missed == [3, 7]
+        model = PoissonGammaREModel(group_count=2, alpha=3.0, beta=1.5)
+        with pytest.raises(NumericalError,
+                           match="^bootstrap replicate 3 failed: improper conditional"):
+            bootstrap_covariance(model, data, ChainConfig(m_draws=40), b=10, seed=12,
+                                 threads=threads)
+
+    def test_input_error_inside_replicate_passes_through(self):
+        # a ValueError is bad input, not a numerical failure of replicate 0
+        data = Dataset(np.array([[2, 0], [3, 5]], dtype=np.int64))
+        model = PoissonGammaREModel(group_count=3, alpha=3.0, beta=1.5)
+        inputs = functools.partial(estimators._multinomial_weights, data)
+        with pytest.raises(ValueError, match="^group labels outside"):
+            estimators.replicate_means("bootstrap", inputs, model, ChainConfig(m_draws=40),
+                                       0, KIND_BOOT, 4, 1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_re_means_match_one_chain_at_a_time(self, threads):
+        """Slices of 2-3 (threads=1), 1-2 (threads=2) and 1 (threads=3)
+        lockstep chains give each replicate the bits of its chain run alone."""
+        data, _ = simulate_poisson_re(SimSpec(n=40, g_count=8, gamma_true=1.0, alpha=3.0,
+                                              beta=1.5, rng_seed=2))
+        model = PoissonGammaREModel(group_count=8, alpha=3.0, beta=1.5)
+        cfg = ChainConfig(m_draws=300)
+        want = []
+        for r in range(11):
+            d, w = estimators._multinomial_weights(data, stream(5, KIND_BOOT, r, 0))
+            rep_cfg = dataclasses.replace(cfg, rng_seed=seed_sequence(5, KIND_BOOT, r, 1))
+            want.append(sample_posterior(model, d, w, rep_cfg, want_loglik=False)
+                        .g_values.mean(axis=0))
+        v, means = bootstrap_covariance(model, data, cfg, b=11, seed=5, threads=threads)
+        assert np.array_equal(means, np.array(want))
+        assert np.array_equal(v.v, estimators._row_cov(math.sqrt(40) * np.array(want)))
 
 
 class TestMapReplicates:

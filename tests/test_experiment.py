@@ -49,6 +49,16 @@ def run_quiet(cfg):
         return run_experiment(cfg)
 
 
+def one_at_a_time_means(model, chains, cfg):
+    """Each replicate chain alone through sample_posterior: the oracle for
+    the lockstep replicate slices."""
+    return np.array([
+        sample_posterior(model, data, w, replace(cfg, rng_seed=seed), want_loglik=False)
+        .g_values.mean(axis=0)
+        for data, w, seed in chains
+    ])
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
@@ -80,6 +90,8 @@ class TestConfig:
             ExperimentConfig(model="normal_misspec", n=10, se_reps=49)
         with pytest.raises(ValueError, match="b_boot"):
             ExperimentConfig(model="normal_misspec", n=10, b_boot=9)
+        with pytest.raises(ValueError, match="r_ground_truth"):
+            ExperimentConfig(model="normal_misspec", n=10, r_ground_truth=9)
 
     def test_blocks_within_retained_draws(self):
         # the Gibbs chain keeps 200 of 400 draws; the exact sampler keeps all
@@ -180,6 +192,20 @@ class TestDeterminism:
         assert (tmp_path / "b" / "result.json").read_bytes() == base
         for name in ("estimates.csv", "widths.csv", "z_delta.csv", "report.txt"):
             assert (tmp_path / "b" / name).read_bytes() == (out / name).read_bytes()
+
+    def test_bytes_match_one_chain_at_a_time_oracle(self, tiny_run, tmp_path, monkeypatch):
+        """Lockstep replicate slices (3 chains each at threads=1, 1-2 at
+        threads=2, 1 at threads=3) write the bytes of the run whose
+        replicate chains each run alone."""
+        _, out = tiny_run
+        for threads in (2, 3):
+            run_quiet(ExperimentConfig(**TINY, threads=threads,
+                                       output_dir=str(tmp_path / f"t{threads}")))
+        monkeypatch.setattr("ijcov.estimators.posterior_means", one_at_a_time_means)
+        run_quiet(ExperimentConfig(**TINY, threads=1, output_dir=str(tmp_path / "oracle")))
+        want = (tmp_path / "oracle" / "result.json").read_bytes()
+        for run in (out, tmp_path / "t2", tmp_path / "t3"):
+            assert (run / "result.json").read_bytes() == want
 
     def test_seed_changes_result(self, tmp_path):
         run_quiet(ExperimentConfig(**{**TINY, "seed": 1}, output_dir=str(tmp_path)))
@@ -413,4 +439,21 @@ class TestCliPipeline:
         assert code == 1
         assert err.startswith("error:") and "se_reps" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_too_few_ground_truth_replicates_exit_1_before_any_compute(
+            self, tmp_path, capsys, monkeypatch, r):
+        # R = 1 divided by zero in the ground-truth SE and R = 2 made its
+        # (R-3)/(R-1) factor negative, both after every other stage had run
+        def never(cfg):
+            raise AssertionError("the study must not start")
+
+        monkeypatch.setattr("ijcov.cli.run_experiment", never)
+        out = tmp_path / "run"
+        code = cli_dispatch(["--out", str(out), "experiment", "--model", "normal_misspec",
+                             "--n", "3", "--m", "10", "--b", "10", "--r", r])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: r_ground_truth must be >= 10\n"
         assert not out.exists()

@@ -745,6 +745,22 @@ class TestCliEstimators:
         assert "Invalid value for '--threads'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_bootstrap_group_label_out_of_range_exits_1(self, capsys, monkeypatch, tmp_path):
+        # checked once before any replicate starts; it used to fail inside
+        # replicate 0 as a numerical failure (exit 2)
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("replicates started on invalid data")
+
+        monkeypatch.setattr("ijcov.estimators.map_replicates", no_replicates)
+        data = tmp_path / "dataset.csv"
+        data.write_text("y,a\n2,0\n3,5\n1,2\n")
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "bootstrap",
+                                 "--model", "poisson_re", "--g-count", "3", "--m", "40",
+                                 "--b", "10", "--data", str(data))
+        assert code == 1 and out == ""
+        assert err == "error: group labels outside [0, group_count)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bootstrap_too_few_replicates(self, capsys, poisson_files):
         code, _, err = run_cli(
             capsys, "bootstrap", "--model", "poisson_re", "--g-count", "3",

@@ -1,6 +1,7 @@
 """Posterior samplers: exact conjugate draws, the Gibbs sweep for the
 random-effects model, the MH fallback, MAP optimization, and ESS."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,73 @@ class TestGibbsChunkedSweep:
         got = samplers._group_fsum(values, groups, 7)
         assert np.array_equal(got, mask_group_fsum(values, groups, 7))
         assert got[5] == 0.0
+
+
+def one_at_a_time_means(model, chains, cfg):
+    """Each (data, w, seed) chain alone through the per-iteration oracle,
+    its posterior mean of g taken as sample_posterior's g_values give it:
+    the oracle for the lockstep sweep."""
+    return np.array([
+        model.g_vector(per_iteration_gibbs(model, data, np.ones(data.n) if w is None else w,
+                                           dataclasses.replace(cfg, rng_seed=seed)))
+        .mean(axis=0)
+        for data, w, seed in chains
+    ])
+
+
+def lockstep_chains(g_count, k_count):
+    """K chains on datasets of their own; every other chain carries
+    multinomial weights that leave group 0 (and so, for G > 1, a whole
+    group) with zero weight."""
+    chains = []
+    for k in range(k_count):
+        data, _ = simulate_poisson_re(SimSpec(n=max(30, g_count), g_count=g_count,
+                                              gamma_true=1.0, alpha=2.0, beta=1.5,
+                                              rng_seed=100 + k))
+        w = None
+        if k % 2:
+            w = multinomial_weights(data, k, zero_group=0 if g_count > 1 else None)
+            if g_count > 1:
+                assert (mask_group_fsum(w, data.units[:, 1], g_count) == 0).any()
+        chains.append((data, w, 1000 + k))
+    return chains
+
+
+class TestLockstepSweep:
+    """posterior_means runs K random-effects chains in one lockstep sweep;
+    every chain's mean keeps the bits of that chain run alone."""
+
+    @pytest.mark.parametrize("g_count", [1, 3, 400])
+    @pytest.mark.parametrize("k_count", [1, 2, 7])
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    def test_bit_identical_to_one_chain_at_a_time(self, monkeypatch, g_count, k_count,
+                                                  budget):
+        if budget == "small":  # many chunks, down to one iteration each
+            monkeypatch.setattr(samplers, "_GAMMA_CHUNK_VARIATES", 1 << 10)
+        model = PoissonGammaREModel(group_count=g_count, alpha=2.0, beta=1.5)
+        chains = lockstep_chains(g_count, k_count)
+        cfg = ChainConfig(m_draws=601, thin=2)
+        got = samplers.posterior_means(model, chains, cfg)
+        assert got.shape == (k_count, 1)
+        assert np.array_equal(got, one_at_a_time_means(model, chains, cfg))
+
+    def test_other_models_run_sample_posterior(self):
+        model = NormalMeanModel(known_sd=1.0)
+        data = Dataset(np.array([0.5, -1.0, 2.0]))
+        chains = [(data, None, 3), (data, np.array([2.0, 0.0, 1.0]), 4)]
+        cfg = ChainConfig(m_draws=50)
+        want = [sample_posterior(model, d, w, ChainConfig(m_draws=50, rng_seed=s))
+                .g_values.mean(axis=0) for d, w, s in chains]
+        assert np.array_equal(samplers.posterior_means(model, chains, cfg), np.array(want))
+
+    @pytest.mark.parametrize("g_count", [1, 3, 400])
+    def test_vecdot_rows_are_the_chain_dots(self, g_count):
+        rng = np.random.default_rng(g_count)
+        u = rng.standard_gamma(3.0, size=(7, g_count)) * 10.0 ** rng.integers(-3, 4, (7, g_count))
+        w = rng.multinomial(g_count, np.full(g_count, 1.0 / g_count), size=7).astype(np.float64)
+        w[:, 0] = 0.0
+        got = np.vecdot(u, w)
+        assert np.array_equal(got, np.array([float(u[k] @ w[k]) for k in range(7)]))
 
 
 class MetropolisOnly:
