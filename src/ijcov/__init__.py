@@ -17,8 +17,6 @@ from .diagnostics import (
     KappaRho,
     bclt_expansion_check,
     diagnose,
-    empirical_group_moments,
-    kappa_and_rho,
     poisson_re_truth_moments,
     poisson_re_view,
 )
@@ -41,7 +39,7 @@ from .mc_error import (
     delta_metrics,
     z_matrix,
 )
-from .models import Dataset, log_lik_matrix, ones_weights, weighted_log_posterior
+from .models import Dataset, log_lik_matrix
 from .reference import (
     NormalMeanModel,
     PoissonGammaConjugateModel,
@@ -54,7 +52,6 @@ from .reference import (
     simulate_poisson_re_conditional,
 )
 from .samplers import ChainConfig, MapFit, PosteriorSample, ess, map_optimize, sample_posterior
-from .special import special_digamma, special_trigamma
 
 __version__ = "0.1.0"
 
@@ -87,16 +84,13 @@ __all__ = [
     "delta_metrics",
     "diagnose",
     "emit_report",
-    "empirical_group_moments",
     "ess",
     "exact_normal_posterior",
     "ij_covariance",
     "influence_scores",
-    "kappa_and_rho",
     "log_lik_matrix",
     "map_optimize",
     "normal_influence_oracle",
-    "ones_weights",
     "poisson_re_truth_moments",
     "poisson_re_view",
     "run_experiment",
@@ -105,8 +99,5 @@ __all__ = [
     "simulate_misspecified_normal",
     "simulate_poisson_re",
     "simulate_poisson_re_conditional",
-    "special_digamma",
-    "special_trigamma",
-    "weighted_log_posterior",
     "z_matrix",
 ]

@@ -142,31 +142,28 @@ def _load_data(path: str, model: str) -> Dataset:
     return data
 
 
-def _model_options(f):
-    for opt in reversed(
-        [
-            click.option("--model", type=click.Choice(_MODEL_CHOICES), required=True),
-            click.option("--g-count", type=int, default=10, show_default=True),
-            click.option("--alpha", type=float, default=25.0, show_default=True),
-            click.option("--beta", type=float, default=2.5, show_default=True),
-            click.option("--known-sd", type=float, default=1.0, show_default=True),
-        ]
-    ):
-        f = opt(f)
-    return f
+def _options(*opts):
+    """One decorator applying `opts`, listed in --help in the order given."""
+    def apply(f):
+        for opt in reversed(opts):
+            f = opt(f)
+        return f
+    return apply
 
 
-def _chain_options(f):
-    for opt in reversed(
-        [
-            click.option("--m", "m_draws", type=int, default=4000, show_default=True,
-                         help="Total sampler iterations (half burned in by default)."),
-            click.option("--burn", "burn_in", type=int, default=None),
-            click.option("--thin", type=int, default=1, show_default=True),
-        ]
-    ):
-        f = opt(f)
-    return f
+_model_options = _options(
+    click.option("--model", type=click.Choice(_MODEL_CHOICES), required=True),
+    click.option("--g-count", type=int, default=10, show_default=True),
+    click.option("--alpha", type=float, default=25.0, show_default=True),
+    click.option("--beta", type=float, default=2.5, show_default=True),
+    click.option("--known-sd", type=float, default=1.0, show_default=True),
+)
+_chain_options = _options(
+    click.option("--m", "m_draws", type=int, default=4000, show_default=True,
+                 help="Total sampler iterations (half burned in by default)."),
+    click.option("--burn", "burn_in", type=int, default=None),
+    click.option("--thin", type=int, default=1, show_default=True),
+)
 
 
 @cli.command()

@@ -8,7 +8,7 @@ replicate means, and the sandwich at the MAP.
 Divisor conventions (they matter at desk scale) live in two helpers.
 `_BlockSums`, the one place a chain is centered, gives the influence scores
 and the Bayes covariance with divisor M-1 over draws, for the whole chain
-and for each block-bootstrap replicate of :mod:`ijcov.mc_error`.
+and, as one stacked call, for the block-bootstrap replicates of mc_error.
 `_row_cov` divides by rows - ddof: N-1 over influence scores, B-1 and R-1
 over bootstrap and ground-truth replicates, N^N for the exhaustive
 bootstrap.  The sandwich's score covariance uses divisor N.  Bootstrap and
@@ -103,13 +103,13 @@ class CovEstimate:
 
 
 class _BlockSums:
-    """Per-block sums of a chain centered at its full-chain means: sum g,
-    sum g g^T and, with the log-likelihood, sum ll and sum ll g^T (blocks x N
-    x q; N = 0 without).  Block b is the row slice [bounds[b], bounds[b+1]);
-    blocks are centered one at a time, so no M x N copy beyond one block is
-    made.  A chain that takes block b counts[b] times has the counts-weighted
-    totals as its draw sums, so a block-bootstrap resample is never built,
-    and the whole chain is one block taken once."""
+    """Per-block sums of a chain centered at its full-chain means, one row per
+    block: sum g, sum g g^T and, with the log-likelihood, sum ll and sum ll g^T
+    (flattened; N = 0 without).  Block b is the row slice [bounds[b],
+    bounds[b+1]); blocks are centered one at a time, so no M x N copy beyond
+    one block is made.  A chain that takes block b counts[b] times has the
+    counts-weighted totals as its draw sums, so a block-bootstrap resample is
+    never built, and the whole chain is one block taken once."""
 
     def __init__(self, sample: PosteriorSample, bounds, with_loglik: bool):
         self.n_data = sample.n_data
@@ -121,31 +121,33 @@ class _BlockSums:
             g = sample.g_values[a:b] - g_mean
             ll = sample.loglik[a:b] - ll_mean if with_loglik else np.empty((b - a, 0))
             sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
-        self.s_g, self.s_gg, self.s_l, self.s_lg = map(np.array, zip(*sums))
+        self.s_g, self.s_gg, self.s_l, self.s_lg = (np.array(s).reshape(len(s), -1)
+                                                    for s in zip(*sums))
 
     def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
-        """`statistic` on the chain taking block b counts[b] times: "psi"
-        (N x q influence scores), "ij_cov" (their row covariance),
-        "bayes_cov", or "mean_g", which comes out centered at the chain mean
-        (its spread is unchanged).  With m = counts . lengths draws, the
-        draw covariances use divisor m-1 and are scaled by N."""
-        m = counts @ self.lengths
-        g_bar = counts @ self.s_g / m
+        """`statistic` of each chain r of the (R, blocks) `counts`, stacked on
+        axis 0: "psi" (N x q influence scores), "ij_cov" (their row
+        covariance), "bayes_cov", or "mean_g", centered at the chain mean.
+        With m = counts[r] . lengths draws, covariances use divisor m-1 and are
+        scaled by N.  Each matmul stack item is the BLAS call a lone chain
+        makes, so each keeps its bits (a product over the chains would not)."""
+        m = (counts @ self.lengths)[:, None, None]
+        cf = counts.astype(np.float64)[:, None, :]
+        g_bar = cf @ self.s_g / m
         if statistic == "mean_g":
-            return g_bar
+            return g_bar[:, 0]
         if statistic == "bayes_cov":
-            s_gg = np.tensordot(counts, self.s_gg, axes=1)
-            return self.n_data * (s_gg - m * np.outer(g_bar, g_bar)) / (m - 1)
-        l_bar = counts @ self.s_l / m
-        s_lg = np.tensordot(counts, self.s_lg, axes=1)
-        psi = self.n_data * (s_lg - m * np.outer(l_bar, g_bar)) / (m - 1)
+            outer = g_bar.swapaxes(1, 2) * g_bar
+            return self.n_data * ((cf @ self.s_gg).reshape(outer.shape) - m * outer) / (m - 1)
+        outer = (cf @ self.s_l / m).swapaxes(1, 2) * g_bar
+        psi = self.n_data * ((cf @ self.s_lg).reshape(outer.shape) - m * outer) / (m - 1)
         return psi if statistic == "psi" else _row_cov(psi)
 
 
 def _row_cov(x: np.ndarray, ddof: int = 1) -> np.ndarray:
-    """Covariance of the rows of x about their mean, divisor rows - ddof."""
-    c = x - x.mean(axis=0)
-    return c.T @ c / (x.shape[0] - ddof)
+    """Covariance of the rows of x (of each matrix of a stack), divisor rows - ddof."""
+    c = x - x.mean(axis=-2, keepdims=True)
+    return c.swapaxes(-1, -2) @ c / (x.shape[-2] - ddof)
 
 
 def _whole_chain(sample: PosteriorSample, statistic: str) -> np.ndarray:
@@ -153,7 +155,7 @@ def _whole_chain(sample: PosteriorSample, statistic: str) -> np.ndarray:
     if sample.m < 2:
         raise ValueError("need at least 2 draws")
     sums = _BlockSums(sample, [0, sample.m], with_loglik=statistic == "psi")
-    return sums.statistic(np.ones(1, dtype=np.int64), statistic)
+    return sums.statistic(np.ones((1, 1), dtype=np.int64), statistic)[0]
 
 
 def influence_scores(sample: PosteriorSample) -> InfluenceMatrix:

@@ -4,7 +4,7 @@ Two mechanisms:
 
 * a block bootstrap over retained draws, for statistics computed from one
   chain (the Bayes and IJ covariances inherit MCMC noise from the draws).
-  Each replicate evaluates the statistic with the chain-statistics core of
+  The replicates are one stacked call of the chain-statistics core of
   :mod:`ijcov.estimators`, which also computes the full-chain estimates and
   holds their divisors: the chain is summed once per block, and a replicate
   only reweights those block sums by how often it drew each block;
@@ -67,9 +67,10 @@ def block_bootstrap_se(
 
     Splits the chain into `blocks` contiguous blocks (np.array_split), draws
     blocks with replacement, evaluates the statistic on the resample, and
-    reports the entrywise SD (divisor reps-1) over replicates.  The
-    resample is never built: a replicate weights the per-block sums by its
-    block counts (bincount of the picks); memory stays O(blocks * N * q).
+    reports the entrywise SD (divisor reps-1) over replicates.  The resample
+    is never built: a replicate weights the per-block sums by its block
+    counts (bincount of its picks), and all replicates are drawn at once and
+    evaluated as one stacked call; memory stays O((blocks + reps) * N * q).
     The default block count max(20, M // (10 * tau_hat)) keeps blocks a few
     autocorrelation times long; a warning fires when blocks end up shorter
     than 5 * tau_hat.
@@ -84,11 +85,7 @@ def block_bootstrap_se(
         raise ValueError("reps must be >= 50")
     m = sample.m
 
-    tau = 1.0
-    if m >= 10:
-        for col in sample.g_values.T:
-            col_ess = ess(col)
-            tau = max(tau, m / col_ess)
+    tau = max(1.0, *(m / ess(col) for col in sample.g_values.T)) if m >= 10 else 1.0
 
     if blocks is None:
         blocks = max(20, int(m // (10.0 * tau)))
@@ -112,11 +109,11 @@ def block_bootstrap_se(
 
     sums = _BlockSums(sample, bounds, with_loglik=statistic == "ij_cov")
     rng = stream(seed, KIND_BLOCK_BOOT)
-    values = []
-    for _ in range(reps):
-        pick = rng.integers(0, blocks, size=blocks)
-        values.append(sums.statistic(np.bincount(pick, minlength=blocks), statistic))
-    xi = np.asarray(values).std(axis=0, ddof=1)
+    # one (reps, blocks) draw is the stream of reps draws of `blocks`: the
+    # bit generator, not the call, holds the spare 32-bit half of a word
+    picks = rng.integers(0, blocks, size=(reps, blocks)) + blocks * np.arange(reps)[:, None]
+    counts = np.bincount(picks.ravel(), minlength=reps * blocks).reshape(reps, blocks)
+    xi = sums.statistic(counts, statistic).std(axis=0, ddof=1)
     return SEMatrix(xi=xi, method=f"block_bootstrap[{statistic}]", blocks=blocks, reps=reps)
 
 

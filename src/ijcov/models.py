@@ -14,7 +14,8 @@ hooks read by more than one routine are read only through the functions
 below, each of which falls back on its own when its hook is missing:
 
     hook                      reader           fallback
-    loglik_vector(data, th)   loglik_vector    loop over log_lik
+    loglik_matrix(data, ths)  log_lik_matrix,  loop over log_lik
+                              loglik_vector
     g_vector(draws)           g_matrix         loop over g
     init(data)                start_point      zeros(dim)
     score(x, th)              score_matrix     Jacobian of loglik_vector
@@ -25,14 +26,15 @@ below, each of which falls back on its own when its hook is missing:
     prior_hessian(th)         prior_hessian    Jacobian of prior_score
     g_grad(th)                g_jacobian       Jacobian of g
 
-Every fallback derivative is one central difference, :func:`fd_jacobian`,
-with coordinate i moved by 1e-4 * (1 + |theta_i|); Hessians are
-symmetrized.  ``init`` starts both the MAP optimizer and Metropolis; a
-start outside the domain that came from the origin fallback is reported
-as a missing ``init`` hook.  Hooks read by one routine only stay with that
-routine in ``diagnostics``: ``loglik_d3``/``prior_d3`` (third derivatives
-of 1-D models, else a 4-point difference), ``log_prior_vector`` and
-``domain_low``.  ``bclt_expansion_check`` requires
+``loglik_matrix`` maps a rows x D parameter stack to rows x N log-likelihoods
+(blocks of at most 2^16 cells).  Every fallback derivative is one central
+difference, :func:`fd_jacobian`, with coordinate i moved by 1e-4 *
+(1 + |theta_i|); Hessians are symmetrized.  ``init`` starts both the
+MAP optimizer and Metropolis; a start outside the domain that came from the
+origin fallback is reported as a missing ``init`` hook.  Hooks read by one
+routine only stay with that routine in ``diagnostics``: ``loglik_d3``/
+``prior_d3`` (third derivatives of 1-D models, else a 4-point difference),
+``log_prior_vector`` and ``domain_low``.  ``bclt_expansion_check`` requires
 ``sum_loglik_grid(data, thetas)`` (sum_n log_lik over a 1-D grid) and
 refuses a model without it.
 
@@ -57,6 +59,8 @@ __all__ = [
     "weighted_log_posterior",
     "log_lik_matrix",
 ]
+
+_LOGLIK_BLOCK_CELLS = 1 << 16  # cells per loglik_matrix call: 0.5 MiB temporaries
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,9 @@ def log_lik_matrix(model, data: Dataset, draws) -> np.ndarray:
     if m_count < 2:
         raise ValueError("log_lik_matrix needs at least 2 draws")
     out = np.empty((m_count, data.n), dtype=np.float64)
-    for m in range(m_count):
-        out[m] = loglik_vector(model, data, draws[m])
+    rows = max(1, _LOGLIK_BLOCK_CELLS // data.n)
+    for a in range(0, m_count, rows):
+        out[a:a + rows] = _loglik_rows(model, data, draws[a:a + rows])
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NumericalError(
@@ -172,11 +177,14 @@ def _fd_hessian(grad_f, theta) -> np.ndarray:
 
 def loglik_vector(model, data: Dataset, theta) -> np.ndarray:
     """The N per-datum log-likelihoods at theta."""
-    if hasattr(model, "loglik_vector"):
-        return np.asarray(model.loglik_vector(data, theta), dtype=np.float64)
-    return np.array(
-        [model.log_lik(data.unit(i), theta) for i in range(data.n)], dtype=np.float64
-    )
+    return _loglik_rows(model, data, np.asarray(theta, dtype=np.float64).reshape(1, -1))[0]
+
+
+def _loglik_rows(model, data: Dataset, thetas: np.ndarray) -> np.ndarray:
+    """The rows x N per-datum log-likelihoods at a stack of parameter vectors."""
+    if hasattr(model, "loglik_matrix"):
+        return np.asarray(model.loglik_matrix(data, thetas), dtype=np.float64)
+    return np.array([[model.log_lik(x, t) for x in data.units] for t in thetas], dtype=np.float64)
 
 
 def g_matrix(model, draws: np.ndarray) -> np.ndarray:

@@ -64,8 +64,8 @@ class NormalMeanModel:
         v = self.known_sd**2
         return -0.5 * (float(x) - t) ** 2 / v - 0.5 * math.log(2 * math.pi * v)
 
-    def loglik_vector(self, data: Dataset, theta) -> np.ndarray:
-        t = float(np.asarray(theta).reshape(-1)[0])
+    def loglik_matrix(self, data: Dataset, draws) -> np.ndarray:
+        t = np.asarray(draws, dtype=np.float64)[:, :1]
         x = np.asarray(data.units, dtype=np.float64)
         v = self.known_sd**2
         return -0.5 * (x - t) ** 2 / v - 0.5 * math.log(2 * math.pi * v)
@@ -200,12 +200,14 @@ class PoissonGammaConjugateModel:
             return -math.inf
         return float(x) * math.log(t) - t
 
-    def loglik_vector(self, data: Dataset, theta) -> np.ndarray:
-        t = float(np.asarray(theta).reshape(-1)[0])
+    def loglik_matrix(self, data: Dataset, draws) -> np.ndarray:
+        t = np.asarray(draws, dtype=np.float64)[:, :1]
         y = np.asarray(data.units, dtype=np.float64)
-        if t <= 0:
-            return np.full(data.n, -math.inf)
-        return y * math.log(t) - t
+        # math.log per draw, as log_lik takes it (np.log may differ by an ulp)
+        log_t = np.array([[math.log(v) if v > 0 else 0.0] for v in t[:, 0].tolist()])
+        out = y * log_t - t
+        out[t[:, 0] <= 0] = -math.inf
+        return out
 
     def sum_loglik_grid(self, data: Dataset, thetas) -> np.ndarray:
         y = np.asarray(data.units, dtype=np.float64)
@@ -321,11 +323,11 @@ class PoissonGammaREModel:
         val = y * eta - rate
         return val if math.isfinite(val) else -math.inf
 
-    def loglik_vector(self, data: Dataset, theta) -> np.ndarray:
-        gamma, lam = self._split(theta)
+    def loglik_matrix(self, data: Dataset, draws) -> np.ndarray:
+        draws = np.asarray(draws, dtype=np.float64)
         y = data.units[:, 0].astype(np.float64)
         a = data.units[:, 1].astype(np.int64)
-        eta = gamma + lam[a]
+        eta = draws[:, :1] + draws[:, 1 + a]
         with np.errstate(over="ignore"):
             out = y * eta - np.exp(eta)
         out[~np.isfinite(out)] = -math.inf

@@ -176,6 +176,7 @@ def sample_posterior(
     if w is None:
         w = ones_weights(data.n)
     w = validate_weights(w, data.n)
+    validate_data(model, data)
     rng = stream(cfg.rng_seed, KIND_CHAIN)
 
     meta: dict = {"method": "exact", "seed": cfg.rng_seed, "weights": w.copy()}
@@ -218,11 +219,14 @@ def posterior_means(model, chains, cfg: ChainConfig) -> np.ndarray:
 
 
 def validate_data(model, data: Dataset) -> None:
-    """Refuse random-effects data with group labels outside [0, group_count)."""
+    """Refuse random-effects data with group labels outside [0, group_count)
+    or all counts zero (an improper gamma posterior for any weights)."""
     if isinstance(model, PoissonGammaREModel):
         groups = data.units[:, 1]
         if groups.min() < 0 or groups.max() >= model.group_count:
             raise ValueError("group labels outside [0, group_count)")
+        if not data.units[:, 0].any():
+            raise ValueError("all counts are zero: improper posterior of gamma")
 
 
 def _gibbs_poisson_re(model: PoissonGammaREModel, chains, cfg, *, full_rows: bool):
@@ -237,17 +241,17 @@ def _gibbs_poisson_re(model: PoissonGammaREModel, chains, cfg, *, full_rows: boo
     c = np.empty(k_count)
     u0 = np.full(g_count, model.alpha / model.beta)
     for k, (data, w, _) in enumerate(chains):
-        validate_data(model, data)
         w = validate_weights(ones_weights(data.n) if w is None else w, data.n)
         y = data.units[:, 0].astype(np.float64)
-        groups = data.units[:, 1].astype(np.int64)
-        w_g[k] = _group_fsum(w, groups, g_count)
         s_wy = math.fsum((w * y).tolist())
-        if s_wy <= 0:
+        if s_wy <= 0:  # a replicate's weights or data zeroed the counts
             raise NumericalError(
                 "improper conditional for gamma: sum of weighted counts is zero "
                 "under the flat prior"
             )
+        validate_data(model, data)  # its all-zero refusal cannot fire past s_wy > 0
+        groups = data.units[:, 1].astype(np.int64)
+        w_g[k] = _group_fsum(w, groups, g_count)
         shapes[k, :g_count] = model.alpha + _group_fsum(w * y, groups, g_count)
         shapes[k, g_count] = s_wy
         c[k] = s_wy / float(u0 @ w_g[k])

@@ -42,12 +42,11 @@ from ijcov import (
     sandwich_covariance,
     simulate_misspecified_normal,
     simulate_poisson_re,
-    special_digamma,
-    special_trigamma,
     z_matrix,
 )
 from ijcov.estimators import CovEstimate
 from ijcov.io import assemble_sample, write_draws_csv, write_loglik_csv
+from ijcov.special import special_digamma, special_trigamma
 
 
 def report(num, ok, detail):

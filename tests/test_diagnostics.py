@@ -40,16 +40,14 @@ from ijcov import (
     PosteriorSample,
     bclt_expansion_check,
     diagnose,
-    empirical_group_moments,
     ess,
-    kappa_and_rho,
     poisson_re_truth_moments,
     poisson_re_view,
     sample_posterior,
     simulate_poisson_re,
     SimSpec,
 )
-from ijcov.diagnostics import l_diag_from_chain
+from ijcov.diagnostics import empirical_group_moments, kappa_and_rho, l_diag_from_chain
 from ijcov.errors import NumericalError
 from ijcov.special import special_digamma, special_trigamma
 
@@ -330,8 +328,6 @@ class TestTruthMoments:
 
 class TestPoissonAnalytic:
     def test_j_closed_form(self):
-        from ijcov import special_trigamma
-
         ana = PoissonAnalytic(
             alpha=25.0, beta=2.5, gamma0=1.3, n_per_group=2.0,
             rho_g=np.array([1.0, 2.0]), v_g=np.array([1.0, 2.0]),
@@ -345,8 +341,6 @@ class TestPoissonAnalytic:
         np.testing.assert_array_equal(j[:, 0, 1], j[:, 1, 0])
 
     def test_mu_closed_form(self):
-        from ijcov import special_digamma
-
         ana = PoissonAnalytic(
             alpha=4.0, beta=2.0, gamma0=0.7, n_per_group=3.0,
             rho_g=np.array([2.0]), v_g=np.array([2.0]),

@@ -230,13 +230,30 @@ class TestBootstrapCovariance:
         assert v.v[0, 0] == pytest.approx(s2, rel=0.5)
         assert v.b_or_m == 120
 
-    def test_failed_replicate_named(self):
-        # all-zero counts make the Gibbs conditional of gamma improper
+    def test_failed_replicate_named(self, monkeypatch):
+        # all-zero counts make the gamma posterior improper for any weights:
+        # the data are refused before any replicate starts, not as a failure
+        # of replicate 0
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("replicates started on invalid data")
+
+        monkeypatch.setattr(estimators, "map_replicates", no_replicates)
         data = Dataset(np.array([[0, 0], [0, 1], [0, 1]], dtype=np.int64))
         model = PoissonGammaREModel(group_count=2, alpha=3.0, beta=1.5)
-        with pytest.raises(NumericalError,
-                           match="bootstrap replicate 0 failed: improper conditional"):
+        with pytest.raises(ValueError, match="^all counts are zero"):
             bootstrap_covariance(model, data, ChainConfig(m_draws=40), b=4, seed=0)
+
+    def test_replicate_with_all_zero_counts_is_numerical(self):
+        # replicate chains skip the up-front refusal: counts that a
+        # replicate's weights or simulated data zero stay a numerical
+        # failure naming the replicate
+        data = Dataset(np.array([[0, 0], [0, 1], [0, 1]], dtype=np.int64))
+        model = PoissonGammaREModel(group_count=2, alpha=3.0, beta=1.5)
+        inputs = functools.partial(estimators._multinomial_weights, data)
+        with pytest.raises(NumericalError,
+                           match="^bootstrap replicate 0 failed: improper conditional"):
+            estimators.replicate_means("bootstrap", inputs, model, ChainConfig(m_draws=40),
+                                       0, KIND_BOOT, 4, 1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_chain_mid_slice_names_its_replicate(self, threads):

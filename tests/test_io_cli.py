@@ -761,6 +761,24 @@ class TestCliEstimators:
         assert err == "error: group labels outside [0, group_count)\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["sample", "bootstrap"])
+    def test_all_zero_counts_exit_1(self, capsys, monkeypatch, tmp_path, command):
+        # refused before any chain starts; it used to exit 2 as an improper
+        # conditional from inside the chain
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain started on invalid data")
+
+        monkeypatch.setattr("ijcov.samplers._gibbs_poisson_re", no_chain)
+        data = tmp_path / "dataset.csv"
+        data.write_text("y,a\n0,0\n0,1\n0,2\n")
+        extra = ["--b", "10"] if command == "bootstrap" else []
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), command,
+                                 "--model", "poisson_re", "--g-count", "3", "--m", "40",
+                                 *extra, "--data", str(data))
+        assert code == 1 and out == ""
+        assert err.startswith("error: all counts are zero") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_bootstrap_too_few_replicates(self, capsys, poisson_files):
         code, _, err = run_cli(
             capsys, "bootstrap", "--model", "poisson_re", "--g-count", "3",

@@ -193,10 +193,10 @@ class TestBlockSumsAgainstResampling:
         segments = np.array_split(np.arange(sample.m), blocks)
         bounds = np.cumsum([0] + [len(s) for s in segments])
         sums = _BlockSums(sample, bounds, with_loglik=True)
-        ones = np.ones(blocks, dtype=np.int64)
+        ones = np.ones((1, blocks), dtype=np.int64)
         for got, want in [
-            (sums.statistic(ones, "bayes_cov"), bayes_covariance(sample).v),
-            (sums.statistic(ones, "ij_cov"), ij_covariance(influence_scores(sample)).v),
+            (sums.statistic(ones, "bayes_cov")[0], bayes_covariance(sample).v),
+            (sums.statistic(ones, "ij_cov")[0], ij_covariance(influence_scores(sample)).v),
         ]:
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
@@ -213,6 +213,87 @@ def _sym(v):
 
 def _centered(x):
     return x - x.mean(axis=0, keepdims=True)
+
+
+def one_chain_statistic(sums, counts, statistic):
+    """`_BlockSums.statistic` for one count vector, as it was evaluated once
+    per replicate before the replicates were stacked: the loop oracle."""
+    m = counts @ sums.lengths
+    g_bar = counts @ sums.s_g / m
+    if statistic == "mean_g":
+        return g_bar
+    q = g_bar.size
+    if statistic == "bayes_cov":
+        s_gg = np.tensordot(counts, sums.s_gg.reshape(-1, q, q), axes=1)
+        return sums.n_data * (s_gg - m * np.outer(g_bar, g_bar)) / (m - 1)
+    l_bar = counts @ sums.s_l / m
+    s_lg = np.tensordot(counts, sums.s_lg.reshape(-1, sums.n_data, q), axes=1)
+    psi = sums.n_data * (s_lg - m * np.outer(l_bar, g_bar)) / (m - 1)
+    if statistic == "psi":
+        return psi
+    c = psi - psi.mean(axis=0)
+    return c.T @ c / (psi.shape[0] - 1)
+
+
+def replicate_loop_se(sample, statistic, blocks, reps, seed):
+    """block_bootstrap_se with one statistic call per replicate."""
+    lengths = [len(b) for b in np.array_split(np.arange(sample.m), blocks)]
+    sums = _BlockSums(sample, np.cumsum([0] + lengths), with_loglik=statistic == "ij_cov")
+    rng = stream(seed, KIND_BLOCK_BOOT)
+    values = [one_chain_statistic(sums, np.bincount(rng.integers(0, blocks, size=blocks),
+                                                    minlength=blocks), statistic)
+              for _ in range(reps)]
+    return np.asarray(values).std(axis=0, ddof=1)
+
+
+def study_chain():
+    # the normal study's chain: N = 400, M = 4000, split into 400 blocks
+    data = simulate_misspecified_normal(400, "laplace", seed=11)
+    return sample_posterior(NormalMeanModel(known_sd=1.0), data,
+                            cfg=ChainConfig(m_draws=4000, rng_seed=3))
+
+
+class TestStackedReplicatesAgainstLoop:
+    """Replicates evaluated as one stacked call keep every bit of the
+    one-call-per-replicate loop, and the whole chain (R = 1, one block)
+    every bit of the single-chain statistic."""
+
+    @pytest.mark.parametrize("statistic", ["bayes_cov", "ij_cov", "mean_g"])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_block_bootstrap_bit_identical(self, chain, statistic):
+        sample = CHAINS[chain]()
+        for blocks in (20, 7):  # equal and unequal blocks
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = block_bootstrap_se(sample, statistic, blocks=blocks, reps=60, seed=9)
+            assert np.array_equal(got.xi,
+                                  replicate_loop_se(sample, statistic, blocks, 60, seed=9))
+
+    @pytest.mark.parametrize("blocks", [2, 7, 37, 400])
+    def test_one_draw_is_the_per_replicate_stream(self, blocks):
+        # block_bootstrap_se draws all picks at once; numpy's bit generator
+        # holds the spare 32-bit half of a word across calls, so the stream
+        # is the one the per-replicate draws read
+        one, loop = stream(5, KIND_BLOCK_BOOT), stream(5, KIND_BLOCK_BOOT)
+        assert np.array_equal(one.integers(0, blocks, size=(60, blocks)),
+                              [loop.integers(0, blocks, size=blocks) for _ in range(60)])
+
+    @pytest.mark.parametrize("statistic", ["bayes_cov", "ij_cov"])
+    def test_study_size_bit_identical(self, statistic):
+        sample = study_chain()
+        got = block_bootstrap_se(sample, statistic, blocks=400, reps=200, seed=11)
+        assert np.array_equal(got.xi, replicate_loop_se(sample, statistic, 400, 200, seed=11))
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS) + ["study"])
+    def test_whole_chain_bit_identical(self, chain):
+        s = study_chain() if chain == "study" else CHAINS[chain]()
+        one = np.ones(1, dtype=np.int64)
+        psi = one_chain_statistic(_BlockSums(s, [0, s.m], True), one, "psi")
+        assert np.array_equal(influence_scores(s).psi, psi)
+        v_ij = one_chain_statistic(_BlockSums(s, [0, s.m], True), one, "ij_cov")
+        assert np.array_equal(ij_covariance(influence_scores(s)).v, _sym(v_ij))
+        v_bayes = one_chain_statistic(_BlockSums(s, [0, s.m], False), one, "bayes_cov")
+        assert np.array_equal(bayes_covariance(s).v, _sym(v_bayes))
 
 
 class TestCoreAgainstDirectFormulas:

@@ -17,14 +17,16 @@ from ijcov import (
     PoissonGammaConjugateModel,
     PoissonGammaREModel,
     bclt_expansion_check,
+    SimSpec,
     log_lik_matrix,
     map_optimize,
-    ones_weights,
     sample_posterior,
     sandwich_covariance,
-    weighted_log_posterior,
+    simulate_misspecified_normal,
+    simulate_poisson_re,
 )
-from ijcov.models import hessian_sum, score_sum
+from ijcov import models
+from ijcov.models import hessian_sum, ones_weights, score_sum, weighted_log_posterior
 
 
 class TestDataset:
@@ -146,6 +148,85 @@ class TestLogLikMatrix:
         draws = np.array([[0.0], [np.inf]])
         with pytest.raises(NumericalError, match=r"draw 1"):
             log_lik_matrix(model, data, draws)
+
+
+def per_draw_loglik(model, data, theta):
+    """The per-draw hook each shipped model carried before ``loglik_matrix``,
+    written out: the oracle for the row-block hooks."""
+    t = float(np.asarray(theta).reshape(-1)[0])
+    if isinstance(model, NormalMeanModel):
+        x = np.asarray(data.units, dtype=np.float64)
+        v = model.known_sd**2
+        return -0.5 * (x - t) ** 2 / v - 0.5 * math.log(2 * math.pi * v)
+    if isinstance(model, PoissonGammaConjugateModel):
+        y = np.asarray(data.units, dtype=np.float64)
+        return np.full(data.n, -math.inf) if t <= 0 else y * math.log(t) - t
+    gamma, lam = np.asarray(theta, dtype=np.float64)[0], np.asarray(theta)[1:]
+    y = data.units[:, 0].astype(np.float64)
+    eta = gamma + lam[data.units[:, 1].astype(np.int64)]
+    with np.errstate(over="ignore"):
+        out = y * eta - np.exp(eta)
+    out[~np.isfinite(out)] = -math.inf
+    return out
+
+
+def loglik_case(name):
+    """(model, data, draws) for a shipped model; M is no multiple of the rows
+    in one 2^16-cell block (1638 at N=40, 1310 at N=50, 163 at N=400)."""
+    if name == "normal":
+        model, data, m = (NormalMeanModel(known_sd=1.3, prior_sd=4.0),
+                          simulate_misspecified_normal(40, "laplace", seed=5), 4000)
+    elif name == "poisson":
+        model, data, m = (PoissonGammaConjugateModel(2.0, 1.0),
+                          Dataset(np.random.default_rng(6).poisson(3.0, size=50)), 3001)
+    else:
+        model, m = PoissonGammaREModel(group_count=400, alpha=25.0, beta=2.5), 1000
+        data, _ = simulate_poisson_re(SimSpec(n=400, g_count=400, gamma_true=1.5,
+                                              alpha=25.0, beta=2.5, rng_seed=7))
+    s = sample_posterior(model, data, cfg=ChainConfig(m_draws=2 * m, rng_seed=8),
+                         want_loglik=False)
+    return model, data, s.draws[:m]
+
+
+class TestLogLikRowBlocks:
+    """The row-block hooks give every bit of the per-draw loop they replace."""
+
+    @pytest.mark.parametrize("case", ["normal", "poisson", "re"])
+    def test_matrix_matches_per_draw_loop(self, case):
+        model, data, draws = loglik_case(case)
+        rows = models._LOGLIK_BLOCK_CELLS // data.n
+        assert draws.shape[0] % rows and draws.shape[0] > rows
+        want = np.array([per_draw_loglik(model, data, row) for row in draws])
+        assert np.array_equal(log_lik_matrix(model, data, draws), want)
+
+    @pytest.mark.parametrize("case", ["normal", "poisson", "re"])
+    def test_vector_matches_per_draw_hook(self, case):
+        model, data, draws = loglik_case(case)
+        rows = list(draws[:25]) + [-draws[0]]  # a negative Poisson rate: a row of -inf
+        for theta in rows:
+            assert np.array_equal(models.loglik_vector(model, data, theta),
+                                  per_draw_loglik(model, data, theta))
+
+    def test_hook_called_once_per_row_block(self):
+        model, data, draws = loglik_case("re")
+        calls = []
+
+        class Counting:
+            dim = model.dim
+
+            def loglik_matrix(self, data, block):
+                calls.append(block.shape[0])
+                return model.loglik_matrix(data, block)
+
+        log_lik_matrix(Counting(), data, draws)
+        rows = models._LOGLIK_BLOCK_CELLS // data.n
+        assert calls == [rows] * (len(draws) // rows) + [len(draws) % rows]
+
+    def test_hook_free_model_loops_over_log_lik(self):
+        model, data, draws = loglik_case("normal")
+        draws = draws[:50]
+        want = np.array([[model.log_lik(x, row) for x in data.units] for row in draws])
+        assert np.array_equal(log_lik_matrix(_wrap(model), data, draws), want)
 
 
 def _wrap(inner, hooks=()):

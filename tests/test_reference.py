@@ -14,11 +14,11 @@ from ijcov import (
     SimSpec,
     exact_normal_posterior,
     normal_influence_oracle,
-    ones_weights,
     simulate_misspecified_normal,
     simulate_poisson_re,
     simulate_poisson_re_conditional,
 )
+from ijcov.models import ones_weights
 
 
 class TestNormalConjugacy:

@@ -340,11 +340,19 @@ class TestGibbsSampler:
         assert s.draws.shape == (20, 3)
 
     def test_all_zero_counts_rejected(self):
-        # flat prior on gamma is improper when the total count is zero
+        # flat prior on gamma is improper when the total count is zero: the
+        # data are refused as input before the chain starts
         data = Dataset(np.array([[0, 0], [0, 1]]))
         model = PoissonGammaREModel(group_count=2, alpha=2.0, beta=1.0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValueError, match="^all counts are zero"):
             sample_posterior(model, data, cfg=ChainConfig(m_draws=100, rng_seed=0))
+
+    def test_weights_zeroing_the_counts_stay_numerical(self):
+        data = Dataset(np.array([[3, 0], [0, 1]]))
+        model = PoissonGammaREModel(group_count=2, alpha=2.0, beta=1.0)
+        with pytest.raises(NumericalError, match="^improper conditional"):
+            sample_posterior(model, data, np.array([0.0, 2.0]),
+                             cfg=ChainConfig(m_draws=100, rng_seed=0))
 
 
 class TestMapOptimize:

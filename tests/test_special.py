@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ijcov import special_digamma, special_trigamma
+from ijcov.special import special_digamma, special_trigamma
 
 # (x, mpmath digamma(x)) at 30 dps, rounded to float64.
 DIGAMMA_ORACLE = [
