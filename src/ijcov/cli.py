@@ -164,16 +164,19 @@ _chain_options = _options(
     click.option("--burn", "burn_in", type=int, default=None),
     click.option("--thin", type=int, default=1, show_default=True),
 )
+_sim_options = _options(
+    click.option("--n", type=int, required=True),
+    click.option("--gamma-true", type=float, default=1.5, show_default=True),
+    click.option("--dist", type=click.Choice(["laplace", "student_t", "gaussian"]),
+                 default="laplace", show_default=True),
+    click.option("--scale", type=float, default=1.0, show_default=True),
+    click.option("--df", type=float, default=None),
+)
 
 
 @cli.command()
 @_model_options
-@click.option("--n", type=int, required=True)
-@click.option("--gamma-true", type=float, default=1.5, show_default=True)
-@click.option("--dist", type=click.Choice(["laplace", "student_t", "gaussian"]),
-              default="laplace", show_default=True)
-@click.option("--scale", type=float, default=1.0, show_default=True)
-@click.option("--df", type=float, default=None)
+@_sim_options
 @click.pass_context
 def simulate(ctx, model, n, g_count, gamma_true, alpha, beta, known_sd, dist, scale, df):
     """Simulate a dataset; writes dataset.csv (and truth.json for poisson_re)."""
@@ -396,15 +399,10 @@ def bclt_check(ctx, model, phi, n_grid, rate):
 @cli.command()
 @click.option("--model", type=click.Choice(["poisson_re", "normal_misspec"]),
               required=True)
-@click.option("--n", type=int, required=True)
+@_sim_options
 @click.option("--g-count", type=int, default=1, show_default=True)
-@click.option("--gamma-true", type=float, default=1.5, show_default=True)
 @click.option("--alpha", type=float, default=25.0, show_default=True)
 @click.option("--beta", type=float, default=2.5, show_default=True)
-@click.option("--dist", type=click.Choice(["laplace", "student_t", "gaussian"]),
-              default="laplace", show_default=True)
-@click.option("--scale", type=float, default=1.0, show_default=True)
-@click.option("--df", type=float, default=None)
 @click.option("--known-sd", type=float, default=1.0, show_default=True)
 @click.option("--m", "m_draws", type=int, default=4000, show_default=True)
 @click.option("--burn", "burn_in", type=int, default=None)

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError
-from .models import Dataset, g_jacobian
+from .models import Dataset, check_information, g_jacobian
 from .rng import KIND_BOOT, seed_sequence, stream
 from .samplers import ChainConfig, MapFit, PosteriorSample, posterior_means, validate_data
 
@@ -287,14 +287,14 @@ def bootstrap_covariance_exhaustive(data: Dataset, functional) -> CovEstimate:
 def sandwich_covariance(fit: MapFit, model) -> CovEstimate:
     """V = grad_g(theta_hat) I^-1 Sigma I^-1 grad_g(theta_hat)^T.
 
-    Requires a converged fit and nonsingular likelihood information.
+    Requires a converged fit and nonsingular likelihood information, under
+    the gate of :func:`models.check_information` (tolerance 1e-6 when `model`
+    has no ``hessian`` hook).
     """
     if not fit.converged:
         raise NumericalError("MAP optimization did not converge")
     info = fit.info_hat
-    evals = np.linalg.eigvalsh(info)
-    if evals.min() <= 1e-10 * max(evals.max(), 0.0):
-        raise NumericalError("singular fit")
+    check_information(model, info)
     inner = np.linalg.solve(info, fit.score_cov_hat)
     inner = np.linalg.solve(info, inner.T).T
     gg = g_jacobian(model, fit.theta_hat)

@@ -21,7 +21,8 @@ below, each of which falls back on its own when its hook is missing:
     score(x, th)              score_matrix     Jacobian of loglik_vector
                               score_sum        gradient of the fsum of
                                                loglik_vector
-    hessian(x, th)            hessian_sum      Jacobian of score_sum
+    hessian(x, th)            hessian_sum,     Jacobian of score_sum
+                              check_information
     prior_score(th)           prior_score      gradient of log_prior
     prior_hessian(th)         prior_hessian    Jacobian of prior_score
     g_grad(th)                g_jacobian       Jacobian of g
@@ -29,12 +30,15 @@ below, each of which falls back on its own when its hook is missing:
 ``loglik_matrix`` maps a rows x D parameter stack to rows x N log-likelihoods
 (blocks of at most 2^16 cells).  Every fallback derivative is one central
 difference, :func:`fd_jacobian`, with coordinate i moved by 1e-4 *
-(1 + |theta_i|); Hessians are symmetrized.  ``init`` starts both the
-MAP optimizer and Metropolis; a start outside the domain that came from the
-origin fallback is reported as a missing ``init`` hook.  Hooks read by one
-routine only stay with that routine in ``diagnostics``: ``loglik_d3``/
-``prior_d3`` (third derivatives of 1-D models, else a 4-point difference),
-``log_prior_vector`` and ``domain_low``.  ``bclt_expansion_check`` requires
+(1 + |theta_i|); Hessians are symmetrized.  ``check_information`` is the one
+singular-fit gate of ``map_optimize`` and ``sandwich_covariance``: its
+eigenvalue-ratio tolerance is 1e-10 with a ``hessian`` hook and 1e-6 without.
+``init`` starts both the MAP optimizer and Metropolis; a start outside the
+domain that came from the origin fallback is reported as a missing ``init``
+hook.  Hooks read by one routine only stay with that routine in
+``diagnostics``: ``loglik_d3``/``prior_d3`` (third derivatives of 1-D
+models, each else its own 4-point difference), ``log_prior_vector`` and
+``domain_low``.  ``bclt_expansion_check`` requires
 ``sum_loglik_grid(data, thetas)`` (sum_n log_lik over a 1-D grid) and
 refuses a model without it.
 
@@ -234,6 +238,17 @@ def hessian_sum(model, data: Dataset, theta) -> np.ndarray:
             h += model.hessian(data.unit(i), theta)
         return h
     return _fd_hessian(lambda t: score_sum(model, data, t), theta)
+
+
+def check_information(model, info) -> None:
+    """Raise NumericalError("singular fit") unless the likelihood information
+    `info` (from :func:`hessian_sum`) is invertible: its min eigenvalue must
+    exceed 1e-10 times its max with a ``hessian`` hook, and 1e-6 times without
+    one, which is above the ~1e-8 relative noise of the difference Hessian."""
+    evals = np.linalg.eigvalsh(info)
+    ratio = 1e-10 if hasattr(model, "hessian") else 1e-6
+    if evals.min() <= ratio * max(evals.max(), 0.0):
+        raise NumericalError("singular fit")
 
 
 def prior_score(model, theta) -> np.ndarray:

@@ -351,42 +351,6 @@ class PoissonGammaREModel:
     def g_vector(self, draws: np.ndarray) -> np.ndarray:
         return np.asarray(draws, dtype=np.float64)[:, :1].copy()
 
-    def g_grad(self, theta) -> np.ndarray:
-        grad = np.zeros((1, self.dim))
-        grad[0, 0] = 1.0
-        return grad
-
-    def score(self, x, theta) -> np.ndarray:
-        gamma, lam = self._split(theta)
-        y, a = float(x[0]), int(x[1])
-        rate = math.exp(gamma + lam[a])
-        s = np.zeros(self.dim)
-        s[0] = y - rate
-        s[1 + a] = y - rate
-        return s
-
-    def hessian(self, x, theta) -> np.ndarray:
-        gamma, lam = self._split(theta)
-        a = int(x[1])
-        rate = math.exp(gamma + lam[a])
-        h = np.zeros((self.dim, self.dim))
-        for i in (0, 1 + a):
-            for j in (0, 1 + a):
-                h[i, j] = -rate
-        return h
-
-    def prior_score(self, theta) -> np.ndarray:
-        _, lam = self._split(theta)
-        s = np.zeros(self.dim)
-        s[1:] = self.alpha - self.beta * np.exp(lam)
-        return s
-
-    def prior_hessian(self, theta) -> np.ndarray:
-        _, lam = self._split(theta)
-        h = np.zeros((self.dim, self.dim))
-        h[np.arange(1, self.dim), np.arange(1, self.dim)] = -self.beta * np.exp(lam)
-        return h
-
     def init(self, data: Dataset) -> np.ndarray:
         y = data.units[:, 0].astype(np.float64)
         lam0 = math.log(self.alpha / self.beta)

@@ -49,9 +49,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .models import (
-    Dataset, _origin_start_note, g_matrix, hessian_sum, log_lik_matrix, ones_weights,
-    prior_hessian, prior_score, score_matrix, score_sum, start_point, validate_weights,
-    weighted_log_posterior,
+    Dataset, _origin_start_note, check_information, g_matrix, hessian_sum, log_lik_matrix,
+    ones_weights, prior_hessian, prior_score, score_matrix, score_sum, start_point,
+    validate_weights, weighted_log_posterior,
 )
 from .reference import (
     NormalMeanModel,
@@ -371,7 +371,8 @@ def map_optimize(model, data: Dataset) -> MapFit:
     only; the prior enters the objective but not the information) and
     Σ̂ = covariance of the per-datum scores with divisor N.  Raises
     NumericalError("singular fit") when Î has min eigenvalue <= 1e-10 times
-    its max eigenvalue.
+    its max eigenvalue, or <= 1e-6 times it for a model without a ``hessian``
+    hook (:func:`models.check_information`).
     """
     n = data.n
 
@@ -424,9 +425,7 @@ def map_optimize(model, data: Dataset) -> MapFit:
 
     info = -hessian_sum(model, data, theta) / n
     info = 0.5 * (info + info.T)
-    evals = np.linalg.eigvalsh(info)
-    if evals.min() <= 1e-10 * max(evals.max(), 0.0):
-        raise NumericalError("singular fit")
+    check_information(model, info)
 
     scores = score_matrix(model, data, theta)
     centered = scores - scores.mean(axis=0, keepdims=True)

@@ -354,7 +354,8 @@ class TestSandwich:
 
     def test_singular_information_raises(self):
         # the flat-gamma RE likelihood Hessian is singular (gamma and the
-        # lambdas share a direction); the fit itself refuses
+        # lambdas share a direction); the fit itself refuses, on the
+        # difference Hessian since the model has no hessian hook
         spec = SimSpec(n=20, g_count=4, gamma_true=1.0, alpha=25.0, beta=2.5, rng_seed=0)
         data, _ = simulate_poisson_re(spec)
         model = PoissonGammaREModel(group_count=4, alpha=25.0, beta=2.5)

@@ -27,6 +27,7 @@ from ijcov import (
 )
 from ijcov import models
 from ijcov.models import hessian_sum, ones_weights, score_sum, weighted_log_posterior
+from ijcov.samplers import MapFit
 
 
 class TestDataset:
@@ -307,6 +308,75 @@ class TestMissingStartHook:
                              cfg=ChainConfig(m_draws=200))
 
 
+class TestSingularGate:
+    """map_optimize and sandwich_covariance refuse a singular likelihood
+    information; without a hessian hook the tolerance clears the noise of
+    the difference Hessian."""
+
+    @pytest.mark.parametrize("n, g_count", [(20, 4), (50, 5), (100, 10)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hook_free_re_fit_refused(self, n, g_count, seed):
+        """With only the required attributes, loglik_matrix and init, the
+        difference Hessian reads the singular RE information at an eigenvalue
+        ratio of about 1e-9, above the exact-Hessian tolerance of 1e-10; the
+        gate for a model without a hessian hook still refuses the fit."""
+        spec = SimSpec(n=n, g_count=g_count, gamma_true=1.0, alpha=25.0, beta=2.5,
+                       rng_seed=seed)
+        data, _ = simulate_poisson_re(spec)
+        model = _wrap(PoissonGammaREModel(group_count=g_count, alpha=25.0, beta=2.5),
+                      ("loglik_matrix", "init"))
+        with pytest.raises(NumericalError, match="singular"):
+            map_optimize(model, Dataset(data.units))
+
+    def test_noise_level_information_refused_without_hessian_hook(self):
+        # eigenvalues about 1.5e-9 and 2: invertible for an exact Hessian,
+        # difference noise for a model without one
+        fit = MapFit(theta_hat=np.zeros(2), info_hat=np.array([[1.0, 1.0], [1.0, 1.0 + 3e-9]]),
+                     score_cov_hat=np.eye(2), converged=True, n_data=10)
+
+        class Pair:
+            dim = 2
+
+            def g(self, theta):
+                return np.asarray(theta)
+
+        class HookedPair(Pair):
+            def hessian(self, x, theta):
+                raise AssertionError("the gate only asks whether the hook is there")
+
+        with pytest.raises(NumericalError, match="singular"):
+            sandwich_covariance(fit, Pair())
+        assert np.all(np.isfinite(sandwich_covariance(fit, HookedPair()).v))
+
+    def test_hook_free_ill_conditioned_model_fits(self):
+        """A hook-free 2-D normal mean with a correlated known covariance of
+        condition number 2e3 clears the difference-Hessian gate; its sandwich
+        with g = theta is the biased sample covariance."""
+        sigma = np.array([[1.0, 0.999], [0.999, 1.0]])
+        assert np.linalg.cond(sigma) == pytest.approx(1999.0)
+        prec = np.linalg.inv(sigma)
+        x = np.random.default_rng(13).multivariate_normal([0.5, -0.5], sigma, size=200)
+
+        class CorrelatedMean:
+            dim = 2
+
+            def log_lik(self, xn, theta):
+                r = xn - theta
+                return -0.5 * float(r @ prec @ r)
+
+            def log_prior(self, theta):
+                return 0.0
+
+            def g(self, theta):
+                return np.asarray(theta)
+
+        fit = map_optimize(CorrelatedMean(), Dataset(x))
+        assert fit.converged
+        np.testing.assert_allclose(fit.info_hat, prec, rtol=1e-6)
+        v = sandwich_covariance(fit, CorrelatedMean()).v
+        np.testing.assert_allclose(v, np.cov(x.T, ddof=0), rtol=1e-5)
+
+
 class TestBcltHooks:
     def test_missing_grid_hook_refused_before_compute(self, monkeypatch):
         full, data, _, _ = _normal_case()
@@ -326,4 +396,18 @@ class TestBcltHooks:
         got = bclt_expansion_check([(model, data)], *args)
         want = bclt_expansion_check([(full, data)], *args)
         np.testing.assert_allclose(got.posterior_means, want.posterior_means, rtol=1e-9)
+        np.testing.assert_allclose(got.corrections, want.corrections, rtol=1e-5)
+
+    @pytest.mark.parametrize("missing", ["prior_d3", "loglik_d3"])
+    def test_each_third_derivative_hook_falls_back_on_its_own(self, missing):
+        """A model with only one of loglik_d3 and prior_d3 gets a difference
+        for the other one, not a zero: the cubic-phi correction matches the
+        fully hooked model's."""
+        full = PoissonGammaConjugateModel(2.0, 1.0)
+        y = np.random.default_rng(0).poisson(2.0, size=200)
+        kept = tuple({"loglik_d3", "prior_d3"} - {missing})
+        model = _wrap(full, ("sum_loglik_grid", "init", "domain_low") + kept)
+        args = (lambda t: t**3, lambda t: 3.0 * t**2, lambda t: 6.0 * t)
+        got, want = (bclt_expansion_check([(m, Dataset(y[:n])) for n in (50, 200)], *args)
+                     for m in (model, full))
         np.testing.assert_allclose(got.corrections, want.corrections, rtol=1e-5)
