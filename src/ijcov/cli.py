@@ -12,6 +12,7 @@ example a failed bootstrap replicate or a divergent quadrature).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -314,6 +315,8 @@ def mcse(ctx, draws_path, loglik_path, g_cols, g_expr, statistic, blocks, reps):
 @click.pass_context
 def diagnose(ctx, data_path, draws_path, g_count, alpha, beta, ij_se):
     """Grouped diagnostics (kappa, rho, residual) for the Poisson RE model."""
+    if ij_se is not None and not (math.isfinite(ij_se) and ij_se >= 0):
+        raise ValueError(f"--ij-se must be finite and >= 0, got {ij_se!r}")
     mdl = PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
     data = _load_data(data_path, "poisson_re")
     s = assemble_sample(draws_path)

@@ -19,6 +19,10 @@ conditionally independent given the global parameter, so L is
 block-diagonal and only its diagonal blocks are formed.  (The posterior
 second moment of eta also carries a conditional-mean term
 N^2 E_post[ gbar * mubar_g mubar_h^T ]; the diagnostics below do not use it.)
+The per-draw conditional covariances are asked for one slice of groups at a
+time, ``conditional_cov(draws, slice(a, b))``, with each M x (b - a) x d x d
+block held to the shared ``models._BLOCK_CELLS`` budget (2^16 cells), so the
+M x G x d x d array is never built.
 The headline scalar is
 
     kappa_hat = (1/G) sum_g tr(S_g^{1/2} L_gg S_g^{1/2}),
@@ -36,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import models
 from .errors import NumericalError
 from .models import Dataset, hessian_sum, loglik_vector, prior_hessian
 from .samplers import PosteriorSample, map_optimize
@@ -60,16 +65,19 @@ class GroupedExpFamilyView:
     """How to read a fitted model as a grouped exponential family.
 
     ``y`` holds the per-datum sufficient statistics (N x y_dim), ``groups``
-    the group label of each datum.  ``conditional_cov`` maps the M x D
-    parameter draws to the closed-form conditional covariances
-    (M x G x y_dim x y_dim) of eta given the global parameter and the data;
-    it reads the global parameter from the draws itself.
+    the group label of each datum.  ``conditional_cov(draws, groups)`` maps
+    the M x D parameter draws and a ``slice`` [a, b) of group labels to the
+    closed-form conditional covariances (M x (b - a) x y_dim x y_dim) of eta
+    given the global parameter and the data; it reads the global parameter
+    from the draws itself.  ``l_diag_from_chain`` asks for slices whose
+    block fits ``models._BLOCK_CELLS`` cells (one group when a single group
+    exceeds it), so the hook never has to build all G groups at once.
     """
 
     y: np.ndarray
     groups: np.ndarray
     g_count: int
-    conditional_cov: Callable[[np.ndarray], np.ndarray]
+    conditional_cov: Callable[[np.ndarray, slice], np.ndarray]
 
     def __post_init__(self):
         self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
@@ -104,7 +112,7 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     Gamma(A_g, B_g) with A_g = alpha + sum_{n in g} y_n and
     B_g = beta + n_g e^gamma, giving closed-form conditional moments of
     eta_g = (gamma + log u_g, -e^gamma u_g); the view computes the
-    covariance from gamma, column 0 of the draws:
+    covariance of the requested groups from gamma, column 0 of the draws:
 
         E[eta_g | gamma]   = (gamma + psi(A_g) - log B_g, -e^gamma A_g / B_g)
         Cov[eta_g | gamma] = [[psi1(A_g),      -e^gamma / B_g          ],
@@ -118,18 +126,18 @@ def poisson_re_view(model, data: Dataset) -> GroupedExpFamilyView:
     a_g = model.alpha + sum_y
     psi1_a = special_trigamma(a_g)
 
-    def conditional_cov(draws):
+    def conditional_cov(draws, groups):
         gam = np.ascontiguousarray(draws[:, 0], dtype=np.float64)
         c = np.exp(gam)[:, None]
-        b = model.beta + n_g[None, :] * c
-        j = np.empty((gam.size, g_count, 2, 2))
-        j[:, :, 0, 0] = psi1_a[None, :]
-        # -c / b and c**2 a_g / b**2 written into j and b, with no M x G
-        # temporary (a copy between two fields of j would buffer one)
+        b = model.beta + n_g[None, groups] * c
+        j = np.empty(b.shape + (2, 2))
+        j[:, :, 0, 0] = psi1_a[None, groups]
+        # -c / b and c**2 a_g / b**2 written into j and b, with no second
+        # temporary the size of b (a copy between two fields of j would buffer one)
         np.divide(-c, b, out=j[:, :, 0, 1])
         np.divide(-c, b, out=j[:, :, 1, 0])
         np.multiply(b, b, out=b)
-        np.multiply(c**2, a_g[None, :], out=j[:, :, 1, 1])
+        np.multiply(c**2, a_g[None, groups], out=j[:, :, 1, 1])
         np.divide(j[:, :, 1, 1], b, out=j[:, :, 1, 1])
         return j
 
@@ -187,11 +195,20 @@ def l_diag_from_chain(sample: PosteriorSample, view: GroupedExpFamilyView) -> np
     The posterior expectation is the plain draw average (divisor M) with g
     centered at its sample mean.  The off-diagonal blocks are zero (the
     groups are conditionally independent given the global parameter), so
-    they are never formed.
+    they are never formed.  The conditional covariances come one group
+    block of at most ``models._BLOCK_CELLS`` cells at a time; each output
+    entry sums over the draws in the same order for any block width, so the
+    result has the bits of the whole-array reduction.
     """
     gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
-    j = np.asarray(view.conditional_cov(sample.draws), dtype=np.float64)
-    return view.n * np.einsum("m,mgij->gij", gbar, j) / sample.m
+    g, width = view.g_count, max(1, models._BLOCK_CELLS // (sample.m * view.y_dim**2))
+    # each block is dropped as soon as it is reduced, so one block is alive
+    blocks = [
+        np.einsum("m,mgij->gij", gbar, np.asarray(
+            view.conditional_cov(sample.draws, slice(a, min(a + width, g))), dtype=np.float64))
+        for a in range(0, g, width)
+    ]
+    return view.n * np.concatenate(blocks) / sample.m
 
 
 @dataclass

@@ -64,7 +64,9 @@ __all__ = [
     "log_lik_matrix",
 ]
 
-_LOGLIK_BLOCK_CELLS = 1 << 16  # cells per loglik_matrix call: 0.5 MiB temporaries
+# cells per block of a chain-sized temporary (log_lik_matrix rows, the
+# diagnostics' conditional covariances): 0.5 MiB of float64
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def log_lik_matrix(model, data: Dataset, draws) -> np.ndarray:
     if m_count < 2:
         raise ValueError("log_lik_matrix needs at least 2 draws")
     out = np.empty((m_count, data.n), dtype=np.float64)
-    rows = max(1, _LOGLIK_BLOCK_CELLS // data.n)
+    rows = max(1, _BLOCK_CELLS // data.n)
     for a in range(0, m_count, rows):
         out[a:a + rows] = _loglik_rows(model, data, draws[a:a + rows])
     if not np.all(np.isfinite(out)):

@@ -283,6 +283,11 @@ class PoissonGammaConjugateModel:
     domain_low = 0.0
 
 
+def _check_prior(alpha: float, beta: float) -> None:
+    if not all(math.isfinite(v) and v > 0 for v in (alpha, beta)):
+        raise ValueError("alpha and beta must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PoissonGammaREModel:
     """Poisson random-effects model.
@@ -303,8 +308,7 @@ class PoissonGammaREModel:
     def __post_init__(self):
         if self.group_count < 1:
             raise ValueError("group_count must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        _check_prior(self.alpha, self.beta)
 
     @property
     def dim(self) -> int:
@@ -372,8 +376,7 @@ class SimSpec:
     def __post_init__(self):
         if not (self.n >= self.g_count >= 1):
             raise ValueError("need N >= G >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        _check_prior(self.alpha, self.beta)
 
 
 def simulate_poisson_re(spec: SimSpec):

@@ -24,6 +24,7 @@ kills constants.  A long Gibbs chain must reproduce these within MC error.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -47,6 +48,7 @@ from ijcov import (
     simulate_poisson_re,
     SimSpec,
 )
+from ijcov import models
 from ijcov.diagnostics import empirical_group_moments, kappa_and_rho, l_diag_from_chain
 from ijcov.errors import NumericalError
 from ijcov.special import special_digamma, special_trigamma
@@ -188,7 +190,7 @@ def quantile_sample(model, data, m=4096):
 
 def zero_cov(g_count, d=1):
     """Conditional-covariance hook that is identically zero."""
-    return lambda draws: np.zeros((len(draws), g_count, d, d))
+    return lambda draws, groups: np.zeros((len(draws), len(range(g_count)[groups]), d, d))
 
 
 def scalar_view(g_count=1, y=((2.0,), (4.0,)), groups=(0, 0), conditional_cov=None):
@@ -243,7 +245,7 @@ class TestViewValidation:
         model = PoissonGammaREModel(group_count=3, alpha=4.0, beta=2.0)
         view = poisson_re_view(model, data)
         gamma = 0.37
-        j = view.conditional_cov(np.array([[gamma, 0.5, -0.1, 0.2]]))
+        j = view.conditional_cov(np.array([[gamma, 0.5, -0.1, 0.2]]), slice(None))
         rho_g = np.bincount(groups, weights=y.astype(float)) / 2.0
         ana = PoissonAnalytic(
             alpha=4.0, beta=2.0, gamma0=math.exp(gamma), n_per_group=2.0,
@@ -368,7 +370,7 @@ class TestMLMatrices:
         """Three-draw fake posterior with J = gamma^2:
         gbar = (-4/3, -1/3, 5/3), so L = N/M * sum(gbar * gamma^2) = 88/9."""
         view = scalar_view(
-            conditional_cov=lambda draws: (draws[:, 0] ** 2)[:, None, None, None]
+            conditional_cov=lambda draws, groups: (draws[:, 0] ** 2)[:, None, None, None]
         )
         draws = np.array([[0.0], [1.0], [3.0]])
         sample = PosteriorSample(draws=draws, g_values=draws, loglik=None, n_data=2)
@@ -377,7 +379,7 @@ class TestMLMatrices:
         assert l_diag.ravel()[0] == pytest.approx(88.0 / 9.0, rel=1e-14)
 
     def test_constant_g_zeroes_everything(self):
-        view = scalar_view(conditional_cov=lambda draws: np.ones((len(draws), 1, 1, 1)))
+        view = scalar_view(conditional_cov=lambda draws, groups: np.ones((len(draws), 1, 1, 1)))
         draws = np.array([[0.5], [1.5], [2.5]])
         sample = PosteriorSample(
             draws=draws, g_values=np.full((3, 1), 7.0), loglik=None, n_data=2
@@ -452,7 +454,7 @@ class TestMLMatrices:
         gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
         eta = poisson_re_eta(sample.draws)
         mu = poisson_re_conditional_mean(model, data, gam)
-        j = view.conditional_cov(sample.draws)
+        j = view.conditional_cov(sample.draws, slice(None))
         eta_c = eta - eta.mean(axis=0)
         mu_c = mu - mu.mean(axis=0)
         diag = np.arange(3), np.arange(3)
@@ -577,21 +579,21 @@ class TestKappaRho:
 
 def expression_conditional_cov(model, data):
     """poisson_re_view's conditional_cov as whole-array expressions, with
-    their M x G temporaries: the oracle for the in-place version."""
+    their M x (b - a) temporaries: the oracle for the in-place version."""
     counts = data.units[:, 0].astype(np.float64)
     groups = data.units[:, 1].astype(np.int64)
     n_g = np.bincount(groups, minlength=model.group_count).astype(np.float64)
     a_g = model.alpha + np.bincount(groups, weights=counts, minlength=model.group_count)
     psi1_a = special_trigamma(a_g)
 
-    def conditional_cov(draws):
+    def conditional_cov(draws, groups):
         gam = np.ascontiguousarray(draws[:, 0], dtype=np.float64)
         c = np.exp(gam)[:, None]
-        b = model.beta + n_g[None, :] * c
-        j = np.empty((gam.size, model.group_count, 2, 2))
-        j[:, :, 0, 0] = psi1_a[None, :]
+        b = model.beta + n_g[None, groups] * c
+        j = np.empty(b.shape + (2, 2))
+        j[:, :, 0, 0] = psi1_a[None, groups]
         j[:, :, 0, 1] = j[:, :, 1, 0] = -c / b
-        j[:, :, 1, 1] = c**2 * a_g[None, :] / b**2
+        j[:, :, 1, 1] = c**2 * a_g[None, groups] / b**2
         return j
 
     return conditional_cov
@@ -608,8 +610,12 @@ class TestDiagnosePipeline:
                                   want_loglik=False)
         view = poisson_re_view(model, data)
         old = replace(view, conditional_cov=expression_conditional_cov(model, data))
-        assert np.array_equal(view.conditional_cov(sample.draws),
-                              old.conditional_cov(sample.draws))
+        assert np.array_equal(view.conditional_cov(sample.draws, slice(None)),
+                              old.conditional_cov(sample.draws, slice(None)))
+        for a in range(0, g_count, 7):
+            block = slice(a, min(a + 7, g_count))
+            assert np.array_equal(view.conditional_cov(sample.draws, block),
+                                  old.conditional_cov(sample.draws, block))
         assert np.array_equal(l_diag_from_chain(sample, view), l_diag_from_chain(sample, old))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # groups with no data
@@ -644,6 +650,117 @@ class TestDiagnosePipeline:
         )
         with pytest.raises(ValueError, match="moments"):
             diagnose(sample, poisson_re_view(model, data), moments="bogus")
+
+
+def whole_array_l(sample, view):
+    """The L diagonal from one hook call over all G groups: the oracle for
+    the group-blocked reduction."""
+    gbar = sample.g_values[:, 0] - sample.g_values[:, 0].mean()
+    j = view.conditional_cov(sample.draws, slice(0, view.g_count))
+    return view.n * np.einsum("m,mgij->gij", gbar, j) / sample.m
+
+
+def varied_view(g_count, n=9, seed=0):
+    """A 2-D view whose conditional covariance differs by draw and by group."""
+    rng = np.random.default_rng(seed)
+
+    def conditional_cov(draws, groups):
+        lab = np.arange(g_count, dtype=np.float64)[groups]
+        t = draws[:, :1]
+        j = np.empty((len(draws), lab.size, 2, 2))
+        j[:, :, 0, 0] = np.sin(t * (lab + 1.0))
+        j[:, :, 0, 1] = j[:, :, 1, 0] = np.exp(-t) * lab
+        j[:, :, 1, 1] = t**2 + lab / 3.0
+        return j
+
+    return GroupedExpFamilyView(
+        y=rng.normal(size=(n, 2)), groups=rng.integers(0, g_count, size=n),
+        g_count=g_count, conditional_cov=conditional_cov,
+    )
+
+
+def gaussian_sample(m, n_data, seed=1, loc=0.0, scale=1.0, cols=1):
+    """M Gaussian draws of the global parameter (column 0, also g); any
+    other columns are zero."""
+    gam = np.random.default_rng(seed).normal(loc, scale, size=m)
+    draws = np.zeros((m, cols))
+    draws[:, 0] = gam
+    return PosteriorSample(draws=draws, g_values=gam[:, None], loglik=None, n_data=n_data)
+
+
+def budget_for(width, m, d=2):
+    """A cell budget that gives group blocks of `width` (0: below one group)."""
+    return max(1, width * m * d * d + m * d * d - 1)
+
+
+@pytest.fixture(scope="module")
+def re_g400():
+    spec = SimSpec(n=400, g_count=400, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=5)
+    data, _ = simulate_poisson_re(spec)
+    model = PoissonGammaREModel(group_count=400, alpha=25.0, beta=2.5)
+    sample = sample_posterior(model, data, cfg=ChainConfig(m_draws=4000, rng_seed=0),
+                              want_loglik=False)
+    return sample, poisson_re_view(model, data)
+
+
+class TestGroupBlocks:
+    """l_diag_from_chain asks for one bounded group block at a time and keeps
+    every bit of the whole-array reduction."""
+
+    @pytest.mark.parametrize("width", [None, 0, 1, 3])
+    @pytest.mark.parametrize("g_count", [1, 7, 401])
+    def test_blocks_equal_whole_array(self, monkeypatch, g_count, width):
+        m = 2001
+        if width is not None:
+            monkeypatch.setattr(models, "_BLOCK_CELLS", budget_for(width, m))
+        view, sample = varied_view(g_count), gaussian_sample(m, 9)
+        assert np.array_equal(l_diag_from_chain(sample, view), whole_array_l(sample, view))
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_poisson_re_view_blocks_equal_whole_array(self, monkeypatch, re_g400, width):
+        sample, view = re_g400
+        if width is not None:
+            monkeypatch.setattr(models, "_BLOCK_CELLS", budget_for(width, sample.m))
+        assert np.array_equal(l_diag_from_chain(sample, view), whole_array_l(sample, view))
+
+    @pytest.mark.parametrize("width", [None, 0, 1, 3, 500])
+    @pytest.mark.parametrize("g_count", [1, 7, 401])
+    def test_slices_fit_the_budget_and_cover_the_groups_once(
+        self, monkeypatch, g_count, width
+    ):
+        m = 301
+        if width is not None:
+            monkeypatch.setattr(models, "_BLOCK_CELLS", budget_for(width, m))
+        view = varied_view(g_count)
+        seen = []
+
+        def spy(draws, groups):
+            seen.append(groups)
+            return view.conditional_cov(draws, groups)
+
+        l_diag_from_chain(gaussian_sample(m, 9), replace(view, conditional_cov=spy))
+        for block in seen:
+            assert isinstance(block, slice) and block.step is None
+            cells = m * (block.stop - block.start) * 4
+            assert cells <= models._BLOCK_CELLS or block.stop - block.start == 1
+        assert seen[0].start == 0 and seen[-1].stop == g_count
+        assert all(p.stop == q.start for p, q in zip(seen, seen[1:]))
+        assert all(block.stop > block.start for block in seen)
+
+    def test_peak_memory_is_one_block(self):
+        """At M = 2000, G = 400 the whole J array alone is 25.6 MB."""
+        spec = SimSpec(n=400, g_count=400, gamma_true=1.5, alpha=25.0, beta=2.5, rng_seed=5)
+        data, _ = simulate_poisson_re(spec)
+        model = PoissonGammaREModel(group_count=400, alpha=25.0, beta=2.5)
+        view = poisson_re_view(model, data)
+        sample = gaussian_sample(2000, 400, loc=1.5, scale=0.05, cols=model.dim)
+        tracemalloc.start()
+        try:
+            l_diag_from_chain(sample, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBcltExpansion:

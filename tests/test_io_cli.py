@@ -844,6 +844,41 @@ class TestCliDiagnose:
         assert code == 1
         assert "parameter columns" in err
 
+    @pytest.mark.parametrize("ij_se", ["-1", "nan", "inf", "-inf"])
+    def test_bad_ij_se_refused_before_reading(self, capsys, monkeypatch, poisson_files,
+                                              tmp_path, ij_se):
+        def no_read(*args, **kwargs):
+            raise AssertionError("diagnose read a file with a bad --ij-se")
+
+        monkeypatch.setattr("ijcov.cli._load_data", no_read)
+        monkeypatch.setattr("ijcov.cli.assemble_sample", no_read)
+        code, out, err = run_cli(
+            capsys, "--out", str(tmp_path / "o"), "diagnose",
+            "--data", str(poisson_files["dataset"]), "--draws", str(poisson_files["draws"]),
+            "--g-count", "3", "--alpha", "3.0", "--beta", "1.5", f"--ij-se={ij_se}",
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --ij-se must be finite and >= 0, got {float(ij_se)!r}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["simulate", "sample", "diagnose"])
+    @pytest.mark.parametrize("prior", [("--alpha", "inf"), ("--alpha", "nan"),
+                                       ("--beta", "inf"), ("--beta", "nan")])
+    def test_nonfinite_prior_refused(self, capsys, poisson_files, tmp_path, sub, prior):
+        args = {
+            "simulate": ["--n", "12"],
+            "sample": ["--m", "40", "--data", str(poisson_files["dataset"])],
+            "diagnose": ["--data", str(poisson_files["dataset"]),
+                         "--draws", str(poisson_files["draws"])],
+        }[sub]
+        if sub != "diagnose":
+            args = ["--model", "poisson_re", *args]
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), sub,
+                                 "--g-count", "3", *args, *prior)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: alpha and beta must be finite and positive"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliBcltCheck:
     def test_prints_slope_and_writes_csv(self, capsys, tmp_path):

@@ -195,7 +195,7 @@ class TestLogLikRowBlocks:
     @pytest.mark.parametrize("case", ["normal", "poisson", "re"])
     def test_matrix_matches_per_draw_loop(self, case):
         model, data, draws = loglik_case(case)
-        rows = models._LOGLIK_BLOCK_CELLS // data.n
+        rows = models._BLOCK_CELLS // data.n
         assert draws.shape[0] % rows and draws.shape[0] > rows
         want = np.array([per_draw_loglik(model, data, row) for row in draws])
         assert np.array_equal(log_lik_matrix(model, data, draws), want)
@@ -220,7 +220,7 @@ class TestLogLikRowBlocks:
                 return model.loglik_matrix(data, block)
 
         log_lik_matrix(Counting(), data, draws)
-        rows = models._LOGLIK_BLOCK_CELLS // data.n
+        rows = models._BLOCK_CELLS // data.n
         assert calls == [rows] * (len(draws) // rows) + [len(draws) % rows]
 
     def test_hook_free_model_loops_over_log_lik(self):

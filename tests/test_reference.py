@@ -161,3 +161,11 @@ class TestREModelBasics:
         model = PoissonGammaREModel(group_count=2, alpha=1.0, beta=1.0)
         theta = np.array([0.4, 1.0, -1.0])
         assert model.g(theta) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                                             (1.0, math.nan), (0.0, 1.0), (1.0, -math.inf)])
+    def test_prior_must_be_finite_and_positive(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be finite and positive"):
+            PoissonGammaREModel(group_count=2, alpha=alpha, beta=beta)
+        with pytest.raises(ValueError, match="alpha and beta must be finite and positive"):
+            SimSpec(n=4, g_count=2, gamma_true=0.0, alpha=alpha, beta=beta)
