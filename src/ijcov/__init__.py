@@ -26,7 +26,6 @@ from .estimators import (
     InfluenceMatrix,
     bayes_covariance,
     bootstrap_covariance,
-    bootstrap_covariance_exhaustive,
     ij_covariance,
     influence_scores,
     sandwich_covariance,
@@ -79,7 +78,6 @@ __all__ = [
     "bclt_expansion_check",
     "block_bootstrap_se",
     "bootstrap_covariance",
-    "bootstrap_covariance_exhaustive",
     "delta_method_boot_se",
     "delta_metrics",
     "diagnose",

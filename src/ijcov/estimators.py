@@ -9,16 +9,17 @@ Divisor conventions (they matter at desk scale) live in two helpers.
 `_BlockSums`, the one place a chain is centered, gives the influence scores
 and the Bayes covariance with divisor M-1 over draws, for the whole chain
 and, as one stacked call, for the block-bootstrap replicates of mc_error.
+It builds its per-block sums a chunk of equal-length blocks at a time, each
+chunk one stacked sum or matmul held to the ``models._BLOCK_CELLS`` budget.
 `_row_cov` divides by rows - ddof: N-1 over influence scores, B-1 and R-1
-over bootstrap and ground-truth replicates, N^N for the exhaustive
-bootstrap.  The sandwich's score covariance uses divisor N.  Bootstrap and
-ground-truth replicate chains all run through `replicate_means`.
+over bootstrap and ground-truth replicates.  The sandwich's score covariance
+uses divisor N.  Bootstrap and ground-truth replicate chains all run through
+`replicate_means`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from . import models
 from .errors import NumericalError
 from .models import Dataset, check_information, g_jacobian
 from .rng import KIND_BOOT, seed_sequence, stream
@@ -38,7 +40,6 @@ __all__ = [
     "ij_covariance",
     "bayes_covariance",
     "bootstrap_covariance",
-    "bootstrap_covariance_exhaustive",
     "sandwich_covariance",
 ]
 
@@ -106,23 +107,38 @@ class _BlockSums:
     """Per-block sums of a chain centered at its full-chain means, one row per
     block: sum g, sum g g^T and, with the log-likelihood, sum ll and sum ll g^T
     (flattened; N = 0 without).  Block b is the row slice [bounds[b],
-    bounds[b+1]); blocks are centered one at a time, so no M x N copy beyond
-    one block is made.  A chain that takes block b counts[b] times has the
-    counts-weighted totals as its draw sums, so a block-bootstrap resample is
-    never built, and the whole chain is one block taken once."""
+    bounds[b+1]).  Each run of equal-length blocks is summed in chunks of
+    whole blocks held to ``models._BLOCK_CELLS`` cells (one block when a block
+    is larger): a chunk is centered as one copy, viewed as (blocks, length, .)
+    and reduced by one stacked sum or matmul per sum, whose items are a lone
+    block's calls, so every block keeps its bits.  A chain that takes block b
+    counts[b] times has the counts-weighted totals as its draw sums, so a
+    block-bootstrap resample is never built, and the whole chain is one block
+    taken once."""
 
     def __init__(self, sample: PosteriorSample, bounds, with_loglik: bool):
         self.n_data = sample.n_data
         self.lengths = np.diff(bounds)
+        blocks, q = len(self.lengths), sample.g_values.shape[1]
+        n = sample.loglik.shape[1] if with_loglik else 0
         g_mean = sample.g_values.mean(axis=0)
         ll_mean = sample.loglik.mean(axis=0) if with_loglik else None
-        sums = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            g = sample.g_values[a:b] - g_mean
-            ll = sample.loglik[a:b] - ll_mean if with_loglik else np.empty((b - a, 0))
-            sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
-        self.s_g, self.s_gg, self.s_l, self.s_lg = (np.array(s).reshape(len(s), -1)
-                                                    for s in zip(*sums))
+        self.s_g, self.s_gg = np.empty((blocks, q)), np.empty((blocks, q * q))
+        self.s_l, self.s_lg = np.empty((blocks, n)), np.empty((blocks, n * q))
+        runs = np.flatnonzero(np.diff(self.lengths, prepend=-1))
+        for r0, r1 in zip(runs, [*runs[1:], blocks]):
+            length = int(self.lengths[r0])
+            step = max(1, models._BLOCK_CELLS // (length * (n + q)))
+            for i in range(r0, r1, step):
+                j = min(i + step, r1)
+                a, b = bounds[i], bounds[j]
+                g = (sample.g_values[a:b] - g_mean).reshape(j - i, length, q)
+                np.sum(g, axis=1, out=self.s_g[i:j])
+                np.matmul(g.swapaxes(1, 2), g, out=self.s_gg[i:j].reshape(j - i, q, q))
+                if n:
+                    ll = (sample.loglik[a:b] - ll_mean).reshape(j - i, length, n)
+                    np.sum(ll, axis=1, out=self.s_l[i:j])
+                    np.matmul(ll.swapaxes(1, 2), g, out=self.s_lg[i:j].reshape(j - i, n, q))
 
     def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
         """`statistic` of each chain r of the (R, blocks) `counts`, stacked on
@@ -150,8 +166,21 @@ def _row_cov(x: np.ndarray, ddof: int = 1) -> np.ndarray:
     return c.swapaxes(-1, -2) @ c / (x.shape[-2] - ddof)
 
 
+def _check_chain(sample: PosteriorSample, statistic: str) -> None:
+    """Refuse, before any sum is built, a chain that lacks what `statistic`
+    needs: the log-likelihood ("psi", "ij_cov"), 2 datapoints ("ij_cov"), or the
+    data count N it scales by ("bayes_cov"; 0 when read without a loglik file)."""
+    if statistic in ("psi", "ij_cov") and sample.loglik is None:
+        raise ValueError(f"{statistic} needs the log-likelihood matrix")
+    if statistic == "ij_cov" and sample.n_data < 2:
+        raise ValueError("ij_cov needs at least 2 datapoints")
+    if statistic == "bayes_cov" and sample.n_data < 1:
+        raise ValueError(f"bayes_cov needs the data count N >= 1, got n_data = {sample.n_data}")
+
+
 def _whole_chain(sample: PosteriorSample, statistic: str) -> np.ndarray:
     """`statistic` of `_BlockSums` on the whole chain, one block taken once."""
+    _check_chain(sample, statistic)
     if sample.m < 2:
         raise ValueError("need at least 2 draws")
     sums = _BlockSums(sample, [0, sample.m], with_loglik=statistic == "psi")
@@ -161,8 +190,6 @@ def _whole_chain(sample: PosteriorSample, statistic: str) -> np.ndarray:
 def influence_scores(sample: PosteriorSample) -> InfluenceMatrix:
     """psi_n = N * sample covariance (divisor M-1) between log-lik column n
     and each g column; shape (N, q)."""
-    if sample.loglik is None:
-        raise ValueError("sample has no log-likelihood matrix")
     return InfluenceMatrix(_whole_chain(sample, "psi"))
 
 
@@ -263,25 +290,6 @@ def bootstrap_covariance(
                             seed, KIND_BOOT, b, threads)
     v = _row_cov(math.sqrt(data.n) * means)
     return CovEstimate(v=v, method="boot", b_or_m=b), means
-
-
-def bootstrap_covariance_exhaustive(data: Dataset, functional) -> CovEstimate:
-    """Exhaustive enumeration of every resample (test-only mode for tiny N).
-
-    Enumerates all N^N equally likely index draws, maps each weight vector
-    through `functional` (a callable w -> length-q vector, e.g. the weighted
-    data mean), and returns the population covariance (divisor N^N) of
-    sqrt(N) times the functional values.
-    """
-    n = data.n
-    if n > 6:
-        raise ValueError("exhaustive enumeration is limited to N <= 6")
-    values = []
-    for idx in itertools.product(range(n), repeat=n):
-        w = np.bincount(np.asarray(idx), minlength=n).astype(np.float64)
-        values.append(np.atleast_1d(np.asarray(functional(w), dtype=np.float64)))
-    v = _row_cov(math.sqrt(n) * np.asarray(values), ddof=0)
-    return CovEstimate(v=v, method="boot", b_or_m=len(values))
 
 
 def sandwich_covariance(fit: MapFit, model) -> CovEstimate:

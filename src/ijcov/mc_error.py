@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovEstimate, _BlockSums
+from .estimators import CovEstimate, _BlockSums, _check_chain
 from .rng import KIND_BLOCK_BOOT, stream
 from .samplers import PosteriorSample, ess
 
@@ -77,10 +77,7 @@ def block_bootstrap_se(
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"statistic must be one of {_STATISTICS}")
-    if statistic == "ij_cov" and sample.loglik is None:
-        raise ValueError("ij_cov block bootstrap needs the log-likelihood matrix")
-    if statistic == "ij_cov" and sample.n_data < 2:
-        raise ValueError("ij_cov block bootstrap needs at least 2 datapoints")
+    _check_chain(sample, statistic)
     if reps < 50:
         raise ValueError("reps must be >= 50")
     m = sample.m

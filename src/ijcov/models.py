@@ -64,8 +64,8 @@ __all__ = [
     "log_lik_matrix",
 ]
 
-# cells per block of a chain-sized temporary (log_lik_matrix rows, the
-# diagnostics' conditional covariances): 0.5 MiB of float64
+# cells per block of a chain-sized temporary, 0.5 MiB of float64, in three layers:
+# log_lik_matrix rows, diagnostics' conditional covariances, block-sum chunks
 _BLOCK_CELLS = 1 << 16
 
 

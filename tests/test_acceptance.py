@@ -28,7 +28,6 @@ from ijcov import (
     SimSpec,
     bclt_expansion_check,
     block_bootstrap_se,
-    bootstrap_covariance_exhaustive,
     delta_method_boot_se,
     diagnose,
     ij_covariance,
@@ -47,6 +46,7 @@ from ijcov import (
 from ijcov.estimators import CovEstimate
 from ijcov.io import assemble_sample, write_draws_csv, write_loglik_csv
 from ijcov.special import special_digamma, special_trigamma
+from test_estimators import bootstrap_covariance_exhaustive
 
 
 def report(num, ok, detail):

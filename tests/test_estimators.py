@@ -36,7 +36,6 @@ from ijcov import (
     SimSpec,
     bayes_covariance,
     bootstrap_covariance,
-    bootstrap_covariance_exhaustive,
     ij_covariance,
     influence_scores,
     map_optimize,
@@ -46,6 +45,25 @@ from ijcov import (
     simulate_poisson_re,
 )
 from ijcov.rng import KIND_BOOT, seed_sequence, stream
+
+
+def bootstrap_covariance_exhaustive(data: Dataset, functional) -> CovEstimate:
+    """Exhaustive enumeration of every resample (a test oracle for tiny N).
+
+    Enumerates all N^N equally likely index draws, maps each weight vector
+    through `functional` (a callable w -> length-q vector, e.g. the weighted
+    data mean), and returns the population covariance (divisor N^N) of
+    sqrt(N) times the functional values.
+    """
+    n = data.n
+    if n > 6:
+        raise ValueError("exhaustive enumeration is limited to N <= 6")
+    values = []
+    for idx in itertools.product(range(n), repeat=n):
+        w = np.bincount(np.asarray(idx), minlength=n).astype(np.float64)
+        values.append(np.atleast_1d(np.asarray(functional(w), dtype=np.float64)))
+    v = estimators._row_cov(math.sqrt(n) * np.asarray(values), ddof=0)
+    return CovEstimate(v=v, method="boot", b_or_m=len(values))
 
 
 def hand_sample():

@@ -23,6 +23,8 @@ from ijcov import (
     Dataset,
     NormalMeanModel,
     PoissonGammaREModel,
+    bayes_covariance,
+    block_bootstrap_se,
     ij_covariance,
     influence_scores,
     map_optimize,
@@ -184,6 +186,23 @@ class TestDrawFileRoundTrip:
         sample = assemble_sample(d, l, g_cols="1")
         psi = influence_scores(sample)
         assert psi.psi.shape == (1, 1)
+
+    def test_bayes_refused_without_a_data_count(self, tmp_path):
+        # with no log-likelihood file the sample has n_data = 0, and a Bayes
+        # covariance scaled by it would read all zeros
+        sample = small_chain()
+        dpath = tmp_path / "d.csv"
+        write_draws_csv(dpath, sample)
+        back = assemble_sample(dpath)
+        assert back.n_data == 0 and back.g_values.mean() != 0.0
+        with pytest.raises(ValueError, match="data count N"):
+            bayes_covariance(back)
+        with pytest.raises(ValueError, match="data count N"):
+            block_bootstrap_se(back, "bayes_cov", blocks=20, reps=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # short blocks
+            mean_se = block_bootstrap_se(back, "mean_g", blocks=20, reps=60)
+        assert mean_se.xi[0] > 0.0  # mean_g is not scaled by N
 
     def test_custom_param_names_survive(self, tmp_path):
         sample = small_chain(m=40)

@@ -1,7 +1,9 @@
 """Monte-Carlo error machinery: block bootstrap, the delta method for
 bootstrap summaries, and the Z / Delta comparison metrics."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from ijcov import (
     simulate_poisson_re,
     z_matrix,
 )
+from ijcov import models
 from ijcov.estimators import _BlockSums
 from ijcov.rng import KIND_BLOCK_BOOT, stream
 
@@ -294,6 +297,67 @@ class TestStackedReplicatesAgainstLoop:
         assert np.array_equal(ij_covariance(influence_scores(s)).v, _sym(v_ij))
         v_bayes = one_chain_statistic(_BlockSums(s, [0, s.m], False), one, "bayes_cov")
         assert np.array_equal(bayes_covariance(s).v, _sym(v_bayes))
+
+
+def block_sums_loop(sample, bounds, with_loglik):
+    """The four block sums built one block at a time, as `_BlockSums` built
+    them before it stacked each chunk of blocks: the loop oracle."""
+    g_mean = sample.g_values.mean(axis=0)
+    ll_mean = sample.loglik.mean(axis=0) if with_loglik else None
+    sums = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        g = sample.g_values[a:b] - g_mean
+        ll = sample.loglik[a:b] - ll_mean if with_loglik else np.empty((b - a, 0))
+        sums.append((g.sum(axis=0), g.T @ g, ll.sum(axis=0), ll.T @ g))
+    return [np.array(s).reshape(len(s), -1) for s in zip(*sums)]
+
+
+def split_bounds(m, blocks):
+    return np.cumsum([0] + [len(b) for b in np.array_split(np.arange(m), blocks)])
+
+
+def random_sample(m, n, q, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(3.0, 1.0, size=(m, q))
+    loglik = rng.normal(-2.0, 1.0, size=(m, n)) if n else None
+    return PosteriorSample(draws=g, g_values=g, loglik=loglik, n_data=n)
+
+
+class TestStackedBlockSums:
+    """Each chunk of equal-length blocks summed as one stacked call keeps
+    every bit of the per-block loop, whatever the chunk size."""
+
+    @pytest.mark.parametrize("budget", ["default", "one cell", "three blocks"])
+    def test_sums_equal_the_per_block_loop(self, budget, monkeypatch):
+        # np.array_split gives a run of longer blocks, then one of shorter;
+        # a budget of one cell makes one-block chunks, each block over the
+        # budget, and three blocks' worth leaves uneven last chunks
+        default = models._BLOCK_CELLS
+        for m, n, q in itertools.product((7, 10, 100, 2000, 3001, 4000), (0, 1, 3, 400),
+                                         (1, 2, 3)):
+            sample = random_sample(m, n, q, seed=m + n + q)
+            for blocks in (b for b in (1, 2, 3, 20, 37, 400) if b <= m):
+                cells = {"default": default, "one cell": 1,
+                         "three blocks": 3 * -(-m // blocks) * (n + q)}[budget]
+                monkeypatch.setattr(models, "_BLOCK_CELLS", cells)
+                bounds = split_bounds(m, blocks)
+                got = _BlockSums(sample, bounds, with_loglik=n > 0)
+                want = block_sums_loop(sample, bounds, n > 0)
+                for name, w in zip(("s_g", "s_gg", "s_l", "s_lg"), want):
+                    assert np.array_equal(getattr(got, name), w), (m, n, q, blocks, name)
+
+    def test_peak_memory_is_the_sums_and_one_chunk(self):
+        # the study's shape: M = 4000, N = 400, 400 blocks; the sums of the
+        # log-likelihood take 2.4 MiB, each centered chunk at most 0.5 MiB
+        sample = random_sample(4000, 400, 1)
+        bounds = split_bounds(4000, 400)
+        tracemalloc.start()
+        try:
+            _BlockSums(sample, bounds, with_loglik=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCoreAgainstDirectFormulas:
