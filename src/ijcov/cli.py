@@ -43,7 +43,7 @@ from .io import (
     write_json,
     write_loglik_csv,
 )
-from .mc_error import block_bootstrap_se, delta_method_boot_se
+from .mc_error import MIN_BOOT_REPS, block_bootstrap_se, delta_method_boot_se
 from .models import Dataset
 from .reference import (
     NormalMeanModel,
@@ -249,6 +249,8 @@ def ij(ctx, draws_path, loglik_path, g_cols, g_expr):
 def bootstrap(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin,
               data_path, b_reps):
     """Weighted-bootstrap covariance with its delta-method SE."""
+    if b_reps < MIN_BOOT_REPS:
+        raise ValueError(f"--b must be >= {MIN_BOOT_REPS} replicates for the delta-method SE")
     mdl = build_model(model, g_count, alpha, beta, known_sd)
     data = _load_data(data_path, model)
     cfg = ChainConfig(m_draws=m_draws, burn_in=burn_in, thin=thin, rng_seed=0)
@@ -319,7 +321,8 @@ def diagnose(ctx, data_path, draws_path, g_count, alpha, beta, ij_se):
         raise ValueError(f"--ij-se must be finite and >= 0, got {ij_se!r}")
     mdl = PoissonGammaREModel(group_count=g_count, alpha=alpha, beta=beta)
     data = _load_data(data_path, "poisson_re")
-    s = assemble_sample(draws_path)
+    # g is the model's: gamma, parameter column 1, unless the file has g_* columns
+    s = assemble_sample(draws_path, g_cols="1")
     view = poisson_re_view(mdl, data)
     if s.draws.shape[1] != mdl.dim:
         raise IngestError(

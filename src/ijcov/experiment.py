@@ -41,6 +41,7 @@ from .estimators import (
     sandwich_covariance,
 )
 from .io import SCHEMA_VERSION, cov_from_dict, cov_to_dict, write_csv, write_json
+from .mc_error import MIN_BOOT_REPS
 from .mc_error import block_bootstrap_se, delta_method_boot_se, delta_metrics, z_matrix
 from .reference import (
     NormalMeanModel,
@@ -96,7 +97,7 @@ class ExperimentConfig:
             raise ValueError("need n >= g_count")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        for name, floor in (("se_reps", 50), ("b_boot", 10), ("r_ground_truth", 10)):
+        for name, floor in (("se_reps", 50), ("b_boot", MIN_BOOT_REPS), ("r_ground_truth", 10)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}")
         # ChainConfig refuses a bad burn_in here instead of in the chain

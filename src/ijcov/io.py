@@ -9,8 +9,8 @@ Validation failures raise :class:`IngestError` citing the 1-based data row.
 
 Draw and log-likelihood files are written row by row with ``repr`` joined
 per row, byte-identical to ``csv.writer`` over :func:`fmt`.  They are read
-by numpy's C parser when the file is plainly well formed: an unquoted
-header, LF or CRLF line ends, no blank lines, at least two rows of the
+by numpy's C parser, over the lines ``csv`` reads, when the file is plainly
+well formed: an unquoted header, no blank lines, at least two rows of the
 header's width, every cell finite, and an integral, strictly increasing
 ``draw`` column.  Any other file goes through the per-cell validator, so
 every accepted file yields the same bits and every rejected one the same
@@ -173,30 +173,18 @@ def write_loglik_csv(path, sample: PosteriorSample) -> None:
     _write_indexed_block(path, header, (sample.loglik,))
 
 
-def _line_count(path):
-    """Lines in the file, a final unterminated one included; None when some
-    CR is not the first half of a CRLF (csv and numpy split such files
-    differently)."""
-    lf = cr = crlf = 0
-    last = b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            lf += chunk.count(b"\n")
-            cr += chunk.count(b"\r")
-            crlf += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
-            last = chunk[-1:]
-    if cr != crlf:
-        return None
-    return lf + (last not in (b"", b"\n"))
-
-
 def _load_indexed_block(path, lead_col: str):
-    """The fast path: numpy's C parser, accepted only when the result is the
-    one the per-cell validator would return; None otherwise."""
+    """The fast path: numpy's C parser over the lines csv would read, accepted
+    only when it parsed one row of the header's width per line it consumed
+    and the result is the per-cell validator's; None otherwise."""
+    rows = 0
+
+    def counted(lines):
+        nonlocal rows
+        for rows, line in enumerate(lines, 1):
+            yield line
+
     try:
-        lines = _line_count(path)
-        if lines is None or lines < 3:
-            return None
         with open(path, newline="") as fh:
             first = fh.readline()
             if '"' in first:
@@ -207,10 +195,10 @@ def _load_indexed_block(path, lead_col: str):
             with warnings.catch_warnings():
                 # a body of blank lines warns; the shape check refuses it
                 warnings.simplefilter("ignore", UserWarning)
-                block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                block = np.loadtxt(counted(fh), delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError, csv.Error):
         return None
-    if block.shape != (lines - 1, len(header)) or not np.isfinite(block).all():
+    if rows < 2 or block.shape != (rows, len(header)) or not np.isfinite(block).all():
         return None
     draw = block[:, 0]
     if not (np.all(draw == np.floor(draw)) and np.all(np.abs(draw) < 2.0**63)):

@@ -39,6 +39,9 @@ __all__ = [
 
 _STATISTICS = ("bayes_cov", "ij_cov", "mean_g")
 
+# fewest bootstrap replicates whose delta-method SE is trusted
+MIN_BOOT_REPS = 10
+
 
 @dataclass
 class SEMatrix:
@@ -125,8 +128,8 @@ def delta_method_boot_se(replicate_means: np.ndarray, n_data: int) -> SEMatrix:
     """
     means = np.atleast_2d(np.asarray(replicate_means, dtype=np.float64))
     b, q = means.shape
-    if b < 10:
-        raise ValueError("delta-method SE is unreliable below B = 10 replicates")
+    if b < MIN_BOOT_REPS:
+        raise ValueError(f"delta-method SE is unreliable below B = {MIN_BOOT_REPS} replicates")
     t = math.sqrt(n_data) * means
     xi = np.empty((q, q))
     for i in range(q):

@@ -1,12 +1,12 @@
-"""Digamma and trigamma via upward recurrence plus asymptotic series.
+"""Trigamma via upward recurrence plus an asymptotic series.
 
-Arguments are shifted upward with the recurrences
+The argument is shifted upward with the recurrence
 
-    psi(x)  = psi(x + 1) - 1/x            psi1(x) = psi1(x + 1) + 1/x**2
+    psi1(x) = psi1(x + 1) + 1/x**2
 
-until x >= 10, where the Bernoulli-number asymptotic expansions converge to
+until x >= 10, where the Bernoulli-number asymptotic expansion converges to
 well below 1e-12 absolute error (the first neglected term at x = 10 is about
-5e-17 for both functions).
+5e-17).
 """
 
 from __future__ import annotations
@@ -14,17 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 _SHIFT_TO = 10.0
-
-# B_{2n}/(2n) for 2n = 2..14: coefficients of x^{-2n} in the digamma series.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
 
 # B_{2n} for 2n = 2..14: coefficients of x^{-(2n+1)} in the trigamma series.
 _TRIGAMMA_COEFFS = (
@@ -38,44 +27,17 @@ _TRIGAMMA_COEFFS = (
 )
 
 
-def _prepare(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.all(arr > 0):
-        raise ValueError("digamma/trigamma require x > 0")
-    return arr, np.isscalar(x) or np.ndim(x) == 0
-
-
-def special_digamma(x):
-    """Digamma function Psi(x) for x > 0, elementwise on arrays.
-
-    Absolute error <= 1e-12 on the positive reals.
-    """
-    arr, scalar = _prepare(x)
-    z = arr.copy()
-    acc = np.zeros_like(z)
-    # x > 0 implies at most ceil(10) = 10 unit shifts are ever needed.
-    for _ in range(int(_SHIFT_TO)):
-        low = z < _SHIFT_TO
-        if not low.any():
-            break
-        acc[low] -= 1.0 / z[low]
-        z[low] += 1.0
-    inv2 = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for c in reversed(_DIGAMMA_COEFFS):
-        tail = (tail + c) * inv2
-    out = acc + np.log(z) - 0.5 / z - tail
-    return float(out) if scalar else out
-
-
 def special_trigamma(x):
     """Trigamma function Psi_1(x) for x > 0, elementwise on arrays.
 
     Absolute error <= 1e-12 on the positive reals.
     """
-    arr, scalar = _prepare(x)
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and not np.all(arr > 0):
+        raise ValueError("trigamma requires x > 0")
     z = arr.copy()
     acc = np.zeros_like(z)
+    # x > 0 implies at most ceil(10) = 10 unit shifts are ever needed.
     for _ in range(int(_SHIFT_TO)):
         low = z < _SHIFT_TO
         if not low.any():
@@ -88,4 +50,4 @@ def special_trigamma(x):
     for c in reversed(_TRIGAMMA_COEFFS):
         tail = (tail + c) * inv2
     out = acc + inv + 0.5 * inv2 + tail * inv
-    return float(out) if scalar else out
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out

@@ -45,8 +45,9 @@ from ijcov import (
 )
 from ijcov.estimators import CovEstimate
 from ijcov.io import assemble_sample, write_draws_csv, write_loglik_csv
-from ijcov.special import special_digamma, special_trigamma
+from ijcov.special import special_trigamma
 from test_estimators import bootstrap_covariance_exhaustive
+from test_special import special_digamma
 
 
 def report(num, ok, detail):

@@ -51,7 +51,8 @@ from ijcov import (
 from ijcov import models
 from ijcov.diagnostics import empirical_group_moments, kappa_and_rho, l_diag_from_chain
 from ijcov.errors import NumericalError
-from ijcov.special import special_digamma, special_trigamma
+from ijcov.special import special_trigamma
+from test_special import special_digamma
 
 
 @dataclass

@@ -381,9 +381,12 @@ FAST_CASES = {
     "large_draw_indices": render([["-5", "1.0", "2.0"], ["9007199254740993", "1.0", "2.0"],
                                   ["9.2e18", "3.0", "4.0"]]),
     "mixed_crlf_and_lf": render(BODY[:2]) + render(BODY[2:], end="\n", header="")[1:],
+    "cr_only": render(BODY, end="\r"),
+    "cr_no_final_newline": render(BODY, end="\r", final=False),
+    "mixed_cr_lf_crlf": "".join(line + end for line, end in zip(
+        render(BODY, end="\n").splitlines(), ["\r", "\n", "\r\n", "\r", "\n"])),
 }
 FALLBACK_CASES = {
-    "cr_only": render(BODY, end="\r"),
     "quoted_cell": render(with_cell(2, 1, '"-0.0"')),
     "quoted_header": render(BODY, header='"draw",p_1,p_2'),
     "underscore_digits": render(with_cell(1, 2, "1_0")),
@@ -433,6 +436,19 @@ class TestReaderMatchesCellParser:
         path = self.write(tmp_path, FALLBACK_CASES[name])
         assert ijcov_io._load_indexed_block(path, "draw") is None
         assert_paths_agree(path)
+
+    def test_well_formed_file_opened_once(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, FAST_CASES["crlf"])
+        opened = []
+        real_open = open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(ijcov_io, "open", counting_open, raising=False)
+        ijcov_io._parse_indexed_block(path, "draw")
+        assert opened == [path]
 
     def test_row_numbered_message_survives(self, tmp_path):
         path = self.write(tmp_path, FALLBACK_CASES["blank_line_mid_body"])
@@ -807,6 +823,20 @@ class TestCliEstimators:
         assert code == 1
         assert "replicates" in err
 
+    def test_bootstrap_too_few_replicates_refused_before_chains(self, capsys, monkeypatch,
+                                                               poisson_files):
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("replicate chains started with --b below the floor")
+
+        monkeypatch.setattr("ijcov.estimators.map_replicates", no_replicates)
+        code, out, err = run_cli(
+            capsys, "bootstrap", "--model", "poisson_re", "--g-count", "3",
+            "--alpha", "3.0", "--beta", "1.5", "--m", "200", "--b", "9",
+            "--data", str(poisson_files["dataset"]),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --b must be >= 10 replicates for the delta-method SE\n"
+
 
 class TestCliMcse:
     def test_prints_nonnegative_matrix(self, capsys, poisson_files):
@@ -852,6 +882,22 @@ class TestCliDiagnose:
         assert set(payload) == {"kappa_hat", "resid_t1_hat", "per_group_trace",
                                 "rho_nn_mean", "predicted_bias"}
         assert payload["predicted_bias"] is True
+
+    def test_g_from_model_when_file_has_no_g_columns(self, capsys, poisson_files, tmp_path):
+        lines = poisson_files["draws"].read_text().splitlines()
+        assert lines[0].endswith(",g_1")
+        no_g = tmp_path / "no_g.csv"
+        no_g.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        outs = []
+        for draws in (poisson_files["draws"], no_g):
+            code, out, err = run_cli(
+                capsys, "diagnose", "--data", str(poisson_files["dataset"]),
+                "--draws", str(draws), "--g-count", "3", "--alpha", "3.0", "--beta", "1.5",
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0].startswith("kappa_hat = ")
+        assert outs[1] == outs[0]
 
     def test_wrong_draw_dimension(self, capsys, poisson_files, tmp_path):
         d = tmp_path / "d.csv"

@@ -4,6 +4,10 @@ The frozen values below were produced once with mpmath at 30 significant
 digits (mp.digamma / mp.polygamma(1, .)) and pasted in, so the suite does
 not depend on mpmath being importable at run time.  A live mpmath
 cross-check runs as well when the package is present.
+
+``special_digamma`` lives here rather than in ``ijcov.special``: no library
+code reads digamma, but the trigamma checks (its derivative) and the
+diagnostics and acceptance tests use it as an oracle.
 """
 
 import math
@@ -13,7 +17,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ijcov.special import special_digamma, special_trigamma
+from ijcov.special import special_trigamma
+
+# B_{2n}/(2n) for 2n = 2..14: coefficients of x^{-2n} in the digamma series.
+_DIGAMMA_COEFFS = (
+    1.0 / 12.0,
+    -1.0 / 120.0,
+    1.0 / 252.0,
+    -1.0 / 240.0,
+    1.0 / 132.0,
+    -691.0 / 32760.0,
+    1.0 / 12.0,
+)
+
+
+def special_digamma(x):
+    """Digamma function Psi(x) for x > 0, elementwise on arrays.
+
+    Upward recurrence psi(x) = psi(x + 1) - 1/x until x >= 10, then the
+    Bernoulli-number asymptotic series (first neglected term about 5e-17 at
+    x = 10); absolute error <= 1e-12 on the positive reals.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and not np.all(arr > 0):
+        raise ValueError("digamma requires x > 0")
+    z = arr.copy()
+    acc = np.zeros_like(z)
+    # x > 0 implies at most ceil(10) = 10 unit shifts are ever needed.
+    for _ in range(10):
+        low = z < 10.0
+        if not low.any():
+            break
+        acc[low] -= 1.0 / z[low]
+        z[low] += 1.0
+    inv2 = 1.0 / (z * z)
+    tail = np.zeros_like(z)
+    for c in reversed(_DIGAMMA_COEFFS):
+        tail = (tail + c) * inv2
+    out = acc + np.log(z) - 0.5 / z - tail
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
 
 # (x, mpmath digamma(x)) at 30 dps, rounded to float64.
 DIGAMMA_ORACLE = [
