@@ -31,7 +31,8 @@ from .estimators import (
     influence_scores,
     sandwich_covariance,
 )
-from .experiment import ExperimentConfig, ExperimentResult, build_model, emit_report, run_experiment
+from .experiment import (ExperimentConfig, ExperimentResult, build_model, emit_report,
+                         run_experiment, simulate_observed)
 from .io import (
     assemble_sample,
     cov_to_dict,
@@ -43,16 +44,9 @@ from .io import (
     write_json,
     write_loglik_csv,
 )
-from .mc_error import MIN_BOOT_REPS, block_bootstrap_se, delta_method_boot_se
+from .mc_error import MIN_BOOT_REPS, MIN_SE_REPS, block_bootstrap_se, delta_method_boot_se
 from .models import Dataset
-from .reference import (
-    NormalMeanModel,
-    PoissonGammaConjugateModel,
-    PoissonGammaREModel,
-    SimSpec,
-    simulate_misspecified_normal,
-    simulate_poisson_re,
-)
+from .reference import NormalMeanModel, PoissonGammaConjugateModel, PoissonGammaREModel
 from .rng import KIND_SIMULATE, stream
 from .samplers import ChainConfig, ess, map_optimize, sample_posterior
 
@@ -152,13 +146,17 @@ def _options(*opts):
     return apply
 
 
-_model_options = _options(
-    click.option("--model", type=click.Choice(_MODEL_CHOICES), required=True),
-    click.option("--g-count", type=int, default=10, show_default=True),
+_prior_options = _options(
     click.option("--alpha", type=float, default=25.0, show_default=True),
     click.option("--beta", type=float, default=2.5, show_default=True),
-    click.option("--known-sd", type=float, default=1.0, show_default=True),
 )
+_known_sd_option = click.option("--known-sd", type=float, default=1.0, show_default=True)
+_sim_model_options = _options(
+    click.option("--model", type=click.Choice(_MODEL_CHOICES), required=True),
+    click.option("--g-count", type=int, default=10, show_default=True),
+    _prior_options,
+)
+_model_options = _options(_sim_model_options, _known_sd_option)
 _chain_options = _options(
     click.option("--m", "m_draws", type=int, default=4000, show_default=True,
                  help="Total sampler iterations (half burned in by default)."),
@@ -168,27 +166,30 @@ _chain_options = _options(
 _sim_options = _options(
     click.option("--n", type=int, required=True),
     click.option("--gamma-true", type=float, default=1.5, show_default=True),
-    click.option("--dist", type=click.Choice(["laplace", "student_t", "gaussian"]),
+    click.option("--dist", "true_dist", type=click.Choice(["laplace", "student_t", "gaussian"]),
                  default="laplace", show_default=True),
     click.option("--scale", type=float, default=1.0, show_default=True),
     click.option("--df", type=float, default=None),
 )
+_draw_file_options = _options(
+    click.option("--draws", "draws_path", type=click.Path(exists=True, dir_okay=False),
+                 required=True),
+    click.option("--loglik", "loglik_path", type=click.Path(exists=True, dir_okay=False),
+                 required=True),
+    click.option("--g-cols", default=None,
+                 help="1-based parameter column indices to treat as g (comma-separated)."),
+    click.option("--g-expr", default=None,
+                 help="numpy expression over parameter columns, e.g. 'p_1 + 2*p_2'."),
+)
 
 
 @cli.command()
-@_model_options
+@_sim_model_options
 @_sim_options
 @click.pass_context
-def simulate(ctx, model, n, g_count, gamma_true, alpha, beta, known_sd, dist, scale, df):
+def simulate(ctx, model, n, **settings):
     """Simulate a dataset; writes dataset.csv (and truth.json for poisson_re)."""
-    seed = ctx.obj["seed"]
-    if model == "poisson_re":
-        spec = SimSpec(n=n, g_count=g_count, gamma_true=gamma_true,
-                       alpha=alpha, beta=beta, rng_seed=seed)
-        data, theta_true = simulate_poisson_re(spec)
-    else:
-        data = simulate_misspecified_normal(n, dist, seed=seed, scale=scale, df=df)
-        theta_true = None
+    data, theta_true = simulate_observed(model, n, ctx.obj["seed"], **settings)
     path = _out_path(ctx, "dataset.csv") or Path("dataset.csv")
     write_dataset_csv(path, data, "poisson_re" if model == "poisson_re" else "normal")
     click.echo(f"wrote {path}")
@@ -222,18 +223,11 @@ def sample(ctx, model, g_count, alpha, beta, known_sd, m_draws, burn_in, thin, d
 
 
 @cli.command()
-@click.option("--draws", "draws_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--loglik", "loglik_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--g-cols", default=None,
-              help="1-based parameter column indices to treat as g (comma-separated).")
-@click.option("--g-expr", default=None,
-              help="numpy expression over parameter columns, e.g. 'p_1 + 2*p_2'.")
+@_draw_file_options
 @click.pass_context
-def ij(ctx, draws_path, loglik_path, g_cols, g_expr):
+def ij(ctx, **files):
     """Influence-score covariance estimate from exported draw files."""
-    s = assemble_sample(draws_path, loglik_path, g_cols=g_cols, g_expr=g_expr)
+    s = assemble_sample(**files)
     est = ij_covariance(influence_scores(s))
     _emit_estimate(ctx, "v_ij", est)
 
@@ -280,21 +274,18 @@ def sandwich(ctx, model, g_count, alpha, beta, known_sd, data_path):
 
 
 @cli.command()
-@click.option("--draws", "draws_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--loglik", "loglik_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--g-cols", default=None)
-@click.option("--g-expr", default=None)
+@_draw_file_options
 @click.option("--statistic", type=click.Choice(["bayes_cov", "ij_cov"]),
               default="ij_cov", show_default=True)
 @click.option("--blocks", type=int, default=None,
               help="Contiguous blocks (default max(20, M/(10 tau_hat))).")
 @click.option("--reps", type=int, default=200, show_default=True)
 @click.pass_context
-def mcse(ctx, draws_path, loglik_path, g_cols, g_expr, statistic, blocks, reps):
+def mcse(ctx, statistic, blocks, reps, **files):
     """Block-bootstrap Monte-Carlo SE of a chain statistic."""
-    s = assemble_sample(draws_path, loglik_path, g_cols=g_cols, g_expr=g_expr)
+    if reps < MIN_SE_REPS:
+        raise ValueError(f"--reps must be >= {MIN_SE_REPS} replicates for the block-bootstrap SE")
+    s = assemble_sample(**files)
     se = block_bootstrap_se(s, statistic, blocks=blocks, reps=reps,
                             seed=ctx.obj["seed"])
     _print_matrix(se.xi)
@@ -310,8 +301,7 @@ def mcse(ctx, draws_path, loglik_path, g_cols, g_expr, statistic, blocks, reps):
 @click.option("--draws", "draws_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--g-count", type=int, required=True)
-@click.option("--alpha", type=float, default=25.0, show_default=True)
-@click.option("--beta", type=float, default=2.5, show_default=True)
+@_prior_options
 @click.option("--ij-se", type=float, default=None,
               help="Xi^IJ scale for the predicted-bias flag (from mcse).")
 @click.pass_context
@@ -407,9 +397,8 @@ def bclt_check(ctx, model, phi, n_grid, rate):
               required=True)
 @_sim_options
 @click.option("--g-count", type=int, default=1, show_default=True)
-@click.option("--alpha", type=float, default=25.0, show_default=True)
-@click.option("--beta", type=float, default=2.5, show_default=True)
-@click.option("--known-sd", type=float, default=1.0, show_default=True)
+@_prior_options
+@_known_sd_option
 @click.option("--m", "m_draws", type=int, default=4000, show_default=True)
 @click.option("--burn", "burn_in", type=int, default=None)
 @click.option("--b", "b_boot", type=int, default=50, show_default=True)
@@ -417,17 +406,11 @@ def bclt_check(ctx, model, phi, n_grid, rate):
 @click.option("--blocks", type=int, default=None)
 @click.option("--se-reps", type=int, default=200, show_default=True)
 @click.pass_context
-def experiment(ctx, model, n, g_count, gamma_true, alpha, beta, dist, scale, df,
-               known_sd, m_draws, burn_in, b_boot, r_ground_truth, blocks, se_reps):
+def experiment(ctx, **settings):
     """Full pipeline: estimators, SEs, simulated ground truth, report."""
     out = ctx.obj["out"] or "experiment_out"
-    cfg = ExperimentConfig(
-        model=model, n=n, g_count=g_count, gamma_true=gamma_true,
-        alpha=alpha, beta=beta, true_dist=dist, scale=scale, df=df,
-        known_sd=known_sd, m_draws=m_draws, burn_in=burn_in, b_boot=b_boot,
-        r_ground_truth=r_ground_truth, blocks=blocks, se_reps=se_reps,
-        seed=ctx.obj["seed"], threads=ctx.obj["threads"], output_dir=out,
-    )
+    cfg = ExperimentConfig(**settings, seed=ctx.obj["seed"], threads=ctx.obj["threads"],
+                           output_dir=out)
     result = run_experiment(cfg)
     click.echo(f"v_sim   = {float(result.v_sim.v[0, 0])!r}")
     click.echo(f"v_bayes = {float(result.v_bayes.v[0, 0])!r}")

@@ -41,11 +41,12 @@ from .estimators import (
     sandwich_covariance,
 )
 from .io import SCHEMA_VERSION, cov_from_dict, cov_to_dict, write_csv, write_json
-from .mc_error import MIN_BOOT_REPS
+from .mc_error import MIN_BOOT_REPS, MIN_SE_REPS
 from .mc_error import block_bootstrap_se, delta_method_boot_se, delta_metrics, z_matrix
 from .reference import (
     NormalMeanModel,
     PoissonGammaREModel,
+    _check_normal_sim,
     simulate_misspecified_normal,
     simulate_poisson_re,
     simulate_poisson_re_conditional,
@@ -97,9 +98,17 @@ class ExperimentConfig:
             raise ValueError("need n >= g_count")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        for name, floor in (("se_reps", 50), ("b_boot", MIN_BOOT_REPS), ("r_ground_truth", 10)):
+        for name, floor in (("se_reps", MIN_SE_REPS), ("b_boot", MIN_BOOT_REPS),
+                            ("r_ground_truth", 10)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}")
+        # the model and simulator refuse a non-finite prior, known_sd, gamma_true, scale or df
+        build_model(self.model, self.g_count, self.alpha, self.beta, self.known_sd)
+        if self.model == "poisson_re":
+            SimSpec(n=self.n, g_count=self.g_count, gamma_true=self.gamma_true,
+                    alpha=self.alpha, beta=self.beta)
+        else:
+            _check_normal_sim(self.true_dist, self.scale, self.df)
         # ChainConfig refuses a bad burn_in here instead of in the chain
         # stage; the normal study's exact sampler keeps every draw
         chain = ChainConfig(m_draws=self.m_draws, burn_in=self.burn_in)
@@ -222,21 +231,15 @@ def build_model(model: str, g_count: int, alpha: float, beta: float, known_sd: f
     return NormalMeanModel(known_sd=known_sd)
 
 
-def _simulate_observed(cfg: ExperimentConfig):
-    if cfg.model == "poisson_re":
-        spec = SimSpec(
-            n=cfg.n,
-            g_count=cfg.g_count,
-            gamma_true=cfg.gamma_true,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            rng_seed=cfg.seed,
-        )
-        return simulate_poisson_re(spec)
-    data = simulate_misspecified_normal(
-        cfg.n, cfg.true_dist, seed=cfg.seed, scale=cfg.scale, df=cfg.df
-    )
-    return data, None
+def simulate_observed(model: str, n: int, seed: int, *, g_count: int, gamma_true: float,
+                      alpha: float, beta: float, true_dist: str, scale: float,
+                      df: float | None):
+    """The observed dataset and, for "poisson_re", the true theta (None for
+    the normal study's data); shared by the study and the CLI."""
+    if model == "poisson_re":
+        return simulate_poisson_re(SimSpec(n=n, g_count=g_count, gamma_true=gamma_true,
+                                           alpha=alpha, beta=beta, rng_seed=seed))
+    return simulate_misspecified_normal(n, true_dist, seed=seed, scale=scale, df=df), None
 
 
 def _gt_dataset(cfg: ExperimentConfig, theta_true, rng) -> tuple:
@@ -269,7 +272,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     model = build_model(cfg.model, cfg.g_count, cfg.alpha, cfg.beta, cfg.known_sd)
 
     with _Stage("simulate", timings):
-        data, theta_true = _simulate_observed(cfg)
+        data, theta_true = simulate_observed(
+            cfg.model, cfg.n, cfg.seed, g_count=cfg.g_count, gamma_true=cfg.gamma_true,
+            alpha=cfg.alpha, beta=cfg.beta, true_dist=cfg.true_dist, scale=cfg.scale, df=cfg.df)
 
     with _Stage("chain", timings):
         chain_cfg = ChainConfig(
@@ -280,14 +285,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         v_ij = ij_covariance(influence_scores(sample))
 
     with _Stage("chain_se", timings):
-        xi_bayes = block_bootstrap_se(
-            sample, "bayes_cov", blocks=cfg.blocks, reps=cfg.se_reps, seed=cfg.seed
-        )
-        xi_ij = block_bootstrap_se(
-            sample, "ij_cov", blocks=cfg.blocks, reps=cfg.se_reps, seed=cfg.seed
-        )
-        v_bayes = v_bayes.with_se(xi_bayes.xi)
-        v_ij = v_ij.with_se(xi_ij.xi)
+        xi = block_bootstrap_se(sample, ("bayes_cov", "ij_cov"), blocks=cfg.blocks,
+                                reps=cfg.se_reps, seed=cfg.seed).xi
+        v_bayes = v_bayes.with_se(xi[0])
+        v_ij = v_ij.with_se(xi[1])
 
     # replicate chains take their seeds from the (seed, kind, rep) streams
     rep_cfg = ChainConfig(m_draws=cfg.m_draws, burn_in=cfg.burn_in)

@@ -374,7 +374,6 @@ def assemble_sample(
         g_values=g,
         loglik=loglik,
         n_data=n_data,
-        meta={"source": str(draws_path), "param_names": names},
     )
 
 

@@ -41,11 +41,13 @@ _STATISTICS = ("bayes_cov", "ij_cov", "mean_g")
 
 # fewest bootstrap replicates whose delta-method SE is trusted
 MIN_BOOT_REPS = 10
+# fewest block-bootstrap replicates whose SD is reported as an SE
+MIN_SE_REPS = 50
 
 
 @dataclass
 class SEMatrix:
-    """Entrywise Monte-Carlo standard errors for one statistic."""
+    """Entrywise Monte-Carlo SEs of one statistic, or of several stacked on axis 0."""
 
     xi: np.ndarray
     method: str
@@ -60,7 +62,7 @@ class SEMatrix:
 
 def block_bootstrap_se(
     sample: PosteriorSample,
-    statistic: str = "bayes_cov",
+    statistic: str | tuple[str, ...] = "bayes_cov",
     *,
     blocks: int | None = None,
     reps: int = 200,
@@ -77,12 +79,19 @@ def block_bootstrap_se(
     The default block count max(20, M // (10 * tau_hat)) keeps blocks a few
     autocorrelation times long; a warning fires when blocks end up shorter
     than 5 * tau_hat.
+
+    A tuple of statistic names (of one shape) shares the block sums, tau_hat
+    and the picks, and stacks their SEs on axis 0 of `xi`; each keeps the
+    bits of its own call, as a block's g sums do not depend on the
+    log-likelihood sums built beside them.
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"statistic must be one of {_STATISTICS}")
-    _check_chain(sample, statistic)
-    if reps < 50:
-        raise ValueError("reps must be >= 50")
+    names = (statistic,) if isinstance(statistic, str) else tuple(statistic)
+    for name in names:
+        if name not in _STATISTICS:
+            raise ValueError(f"statistic must be one of {_STATISTICS}")
+        _check_chain(sample, name)
+    if reps < MIN_SE_REPS:
+        raise ValueError(f"reps must be >= {MIN_SE_REPS}")
     m = sample.m
 
     tau = max(1.0, *(m / ess(col) for col in sample.g_values.T)) if m >= 10 else 1.0
@@ -107,14 +116,15 @@ def block_bootstrap_se(
             RuntimeWarning,
         )
 
-    sums = _BlockSums(sample, bounds, with_loglik=statistic == "ij_cov")
+    sums = _BlockSums(sample, bounds, with_loglik="ij_cov" in names)
     rng = stream(seed, KIND_BLOCK_BOOT)
     # one (reps, blocks) draw is the stream of reps draws of `blocks`: the
     # bit generator, not the call, holds the spare 32-bit half of a word
     picks = rng.integers(0, blocks, size=(reps, blocks)) + blocks * np.arange(reps)[:, None]
     counts = np.bincount(picks.ravel(), minlength=reps * blocks).reshape(reps, blocks)
-    xi = sums.statistic(counts, statistic).std(axis=0, ddof=1)
-    return SEMatrix(xi=xi, method=f"block_bootstrap[{statistic}]", blocks=blocks, reps=reps)
+    xi = [sums.statistic(counts, name).std(axis=0, ddof=1) for name in names]
+    return SEMatrix(xi=xi[0] if isinstance(statistic, str) else np.stack(xi),
+                    method=f"block_bootstrap[{','.join(names)}]", blocks=blocks, reps=reps)
 
 
 def delta_method_boot_se(replicate_means: np.ndarray, n_data: int) -> SEMatrix:

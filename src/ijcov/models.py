@@ -100,6 +100,9 @@ def ones_weights(n: int) -> np.ndarray:
 
 
 def validate_weights(w, n: int) -> np.ndarray:
+    """`w` as a checked float vector of length n; None gives the 1-vector."""
+    if w is None:
+        return ones_weights(n)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise DimensionMismatchError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Dataset, ones_weights, validate_weights
+from .models import Dataset, validate_weights
 from .rng import KIND_SIMULATE, stream
 
 __all__ = [
@@ -54,8 +54,8 @@ class NormalMeanModel:
     dim = 1
 
     def __post_init__(self):
-        if self.known_sd <= 0:
-            raise ValueError("known_sd must be positive")
+        if not (math.isfinite(self.known_sd) and self.known_sd > 0):
+            raise ValueError(f"known_sd must be finite and positive, got {self.known_sd!r}")
         if self.prior_sd is not None and self.prior_sd <= 0:
             raise ValueError("prior_sd must be positive (or None for flat)")
 
@@ -147,8 +147,6 @@ def exact_normal_posterior(model: NormalMeanModel, data: Dataset, w=None):
     the flat prior).  Weighted sums use fsum, so permuting (data, weights)
     together changes nothing.
     """
-    if w is None:
-        w = ones_weights(data.n)
     w = validate_weights(w, data.n)
     x = np.asarray(data.units, dtype=np.float64)
     v = model.known_sd**2
@@ -266,8 +264,6 @@ class PoissonGammaConjugateModel:
 
     def posterior_params(self, data: Dataset, w=None):
         """Conjugate Gamma posterior (shape, rate) under weights w."""
-        if w is None:
-            w = ones_weights(data.n)
         w = validate_weights(w, data.n)
         y = np.asarray(data.units, dtype=np.float64)
         shape = self.prior_shape + math.fsum((w * y).tolist())
@@ -376,6 +372,8 @@ class SimSpec:
     def __post_init__(self):
         if not (self.n >= self.g_count >= 1):
             raise ValueError("need N >= G >= 1")
+        if not math.isfinite(self.gamma_true):
+            raise ValueError(f"gamma_true must be finite, got {self.gamma_true!r}")
         _check_prior(self.alpha, self.beta)
 
 
@@ -430,16 +428,23 @@ def simulate_misspecified_normal(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_normal_sim(true_dist, scale, df)
     if rng is None:
         rng = stream(seed, KIND_SIMULATE)
     if true_dist == "laplace":
         x = rng.laplace(0.0, scale, size=n)
     elif true_dist == "student_t":
-        if df is None or df <= 2:
-            raise ValueError("student_t needs df > 2 (finite variance)")
         x = scale * rng.standard_t(df, size=n)
-    elif true_dist == "gaussian":
-        x = rng.normal(0.0, scale, size=n)
     else:
-        raise ValueError(f"unknown true_dist {true_dist!r}")
+        x = rng.normal(0.0, scale, size=n)
     return Dataset(x)
+
+
+def _check_normal_sim(true_dist: str, scale: float, df: float | None) -> None:
+    """Refuse a data distribution F that cannot give finite draws."""
+    if true_dist not in ("laplace", "student_t", "gaussian"):
+        raise ValueError(f"unknown true_dist {true_dist!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    if true_dist == "student_t" and (df is None or not (math.isfinite(df) and df > 2)):
+        raise ValueError(f"student_t needs a finite df > 2 (finite variance), got {df!r}")

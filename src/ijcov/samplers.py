@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError
 from .models import (
     Dataset, _origin_start_note, check_information, g_matrix, hessian_sum, log_lik_matrix,
-    ones_weights, prior_hessian, prior_score, score_matrix, score_sum, start_point,
+    prior_hessian, prior_score, score_matrix, score_sum, start_point,
     validate_weights, weighted_log_posterior,
 )
 from .reference import (
@@ -173,13 +173,11 @@ def sample_posterior(
     """
     if cfg is None:
         raise ValueError("cfg is required")
-    if w is None:
-        w = ones_weights(data.n)
     w = validate_weights(w, data.n)
     validate_data(model, data)
     rng = stream(cfg.rng_seed, KIND_CHAIN)
 
-    meta: dict = {"method": "exact", "seed": cfg.rng_seed, "weights": w.copy()}
+    meta: dict = {"method": "exact"}
     if isinstance(model, NormalMeanModel):
         mu, var = exact_normal_posterior(model, data, w)
         draws = (mu + math.sqrt(var) * rng.standard_normal(cfg.m_draws))[:, None]
@@ -241,7 +239,7 @@ def _gibbs_poisson_re(model: PoissonGammaREModel, chains, cfg, *, full_rows: boo
     c = np.empty(k_count)
     u0 = np.full(g_count, model.alpha / model.beta)
     for k, (data, w, _) in enumerate(chains):
-        w = validate_weights(ones_weights(data.n) if w is None else w, data.n)
+        w = validate_weights(w, data.n)
         y = data.units[:, 0].astype(np.float64)
         s_wy = math.fsum((w * y).tolist())
         if s_wy <= 0:  # a replicate's weights or data zeroed the counts
@@ -377,7 +375,7 @@ def map_optimize(model, data: Dataset) -> MapFit:
     n = data.n
 
     def objective(theta):
-        return weighted_log_posterior(model, data, ones_weights(n), theta) / n
+        return weighted_log_posterior(model, data, None, theta) / n
 
     def grad(theta):
         return (score_sum(model, data, theta) + prior_score(model, theta)) / n

@@ -21,6 +21,7 @@ from ijcov import (
     NormalMeanModel,
     PoissonGammaREModel,
     SimSpec,
+    block_bootstrap_se,
     sample_posterior,
     simulate_misspecified_normal,
     simulate_poisson_re,
@@ -103,6 +104,18 @@ class TestConfig:
         ExperimentConfig(model="normal_misspec", n=10, m_draws=400, blocks=200)
         with pytest.raises(ValueError, match="blocks"):
             ExperimentConfig(model="normal_misspec", n=10, m_draws=400, blocks=201)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(model="normal_misspec", known_sd=math.nan), "known_sd must be finite"),
+        (dict(model="normal_misspec", scale=math.inf), "scale must be finite"),
+        (dict(model="normal_misspec", true_dist="student_t", df=math.nan), "finite df > 2"),
+        (dict(model="poisson_re", gamma_true=-math.inf), "gamma_true must be finite"),
+        (dict(model="poisson_re", alpha=math.nan), "alpha and beta must be finite"),
+    ], ids=["known_sd", "scale", "df", "gamma_true", "alpha"])
+    def test_non_finite_settings(self, settings, message):
+        # refused by the checks of the model and the simulator themselves
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(n=10, **settings)
 
     def test_n_over_g(self):
         cfg = ExperimentConfig(model="poisson_re", n=40, g_count=8)
@@ -302,6 +315,22 @@ class TestRendering:
         text = (tmp_path / "report.txt").read_text()
         assert "inf*" in text
         assert "zero Monte-Carlo-error denominator" in text
+
+
+class TestChainSE:
+    def test_one_block_bootstrap_call(self, tiny_run, monkeypatch):
+        calls = []
+
+        def counted(sample, statistic, **kwargs):
+            calls.append(statistic)
+            return block_bootstrap_se(sample, statistic, **kwargs)
+
+        monkeypatch.setattr("ijcov.experiment.block_bootstrap_se", counted)
+        res = run_quiet(ExperimentConfig(**TINY))
+        assert calls == [("bayes_cov", "ij_cov")]
+        want, _ = tiny_run
+        assert np.array_equal(res.v_bayes.se, want.v_bayes.se)
+        assert np.array_equal(res.v_ij.se, want.v_ij.se)
 
 
 class TestStageFailures:

@@ -9,6 +9,7 @@ checked for bit equality, which is stronger than the documented 1e-12.
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -967,3 +968,123 @@ class TestCliBcltCheck:
         code, _, err = run_cli(capsys, "bclt-check", "--n-grid", "100")
         assert code == 1
         assert "two sizes" in err
+
+
+class TestCliSettingsRefused:
+    """Bad settings are refused with one error line before any file is
+    read or written and before any chain or MAP fit starts."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "normal", "--scale", "nan"], "scale must be finite and positive, got nan"),
+        (["--model", "normal", "--dist", "gaussian", "--scale", "inf"],
+         "scale must be finite and positive, got inf"),
+        (["--model", "normal", "--dist", "student_t", "--df", "nan"],
+         "student_t needs a finite df > 2 (finite variance), got nan"),
+        (["--model", "normal", "--dist", "student_t", "--df", "inf"],
+         "student_t needs a finite df > 2 (finite variance), got inf"),
+        (["--model", "poisson_re", "--gamma-true", "-inf"], "gamma_true must be finite, got -inf"),
+    ], ids=["normal_scale_nan", "gaussian_scale_inf", "student_t_df_nan", "student_t_df_inf",
+            "gamma_true_minus_inf"])
+    def test_simulate_writes_nothing(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "--out", str(out), "simulate", "--n", "12", *argv)
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, patched", [("sample", "sample_posterior"),
+                                              ("sandwich", "map_optimize")])
+    def test_known_sd_nan_refused_before_fit(self, capsys, monkeypatch, tmp_path, sub, patched):
+        def no_fit(*args, **kwargs):
+            raise AssertionError(f"{patched} ran with known_sd = nan")
+
+        monkeypatch.setattr(f"ijcov.cli.{patched}", no_fit)
+        data = tmp_path / "dataset.csv"
+        data.write_text("x\n0.5\n-1.0\n2.0\n")
+        extra = ["--m", "40"] if sub == "sample" else []
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), sub, "--model", "normal",
+                                 "--known-sd", "nan", *extra, "--data", str(data))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: known_sd must be finite and positive, got nan"]
+        assert not (tmp_path / "o").exists()
+
+    def test_experiment_known_sd_nan_refused_before_study(self, capsys, monkeypatch, tmp_path):
+        def never(cfg):
+            raise AssertionError("the study must not start")
+
+        monkeypatch.setattr("ijcov.cli.run_experiment", never)
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "experiment",
+                                 "--model", "normal_misspec", "--n", "50", "--known-sd", "nan")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: known_sd must be finite and positive, got nan"]
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_has_no_known_sd(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "simulate",
+                                 "--model", "normal", "--n", "12", "--known-sd", "2")
+        assert code == 1 and out == ""
+        assert "No such option" in err and "--known-sd" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mcse_reps_floor_before_reading(self, capsys, monkeypatch, poisson_files, tmp_path):
+        def no_read(*args, **kwargs):
+            raise AssertionError("mcse read the draw files with --reps below the floor")
+
+        monkeypatch.setattr("ijcov.cli.assemble_sample", no_read)
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "mcse",
+                                 "--draws", str(poisson_files["draws"]),
+                                 "--loglik", str(poisson_files["loglik"]), "--reps", "49")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: --reps must be >= 50 replicates for the block-bootstrap SE"]
+        assert not (tmp_path / "o").exists()
+
+
+class TestCliSurface:
+    def test_experiment_forwards_every_option(self, capsys, monkeypatch, tmp_path):
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr("ijcov.cli.run_experiment", capture)
+        want = dict(model="normal_misspec", n=40, gamma_true=0.25, true_dist="student_t",
+                    scale=2.0, df=5.0, g_count=4, alpha=3.0, beta=1.5, known_sd=1.5,
+                    m_draws=300, burn_in=0, b_boot=11, r_ground_truth=12, blocks=7,
+                    se_reps=60)
+        flags = {"true_dist": "--dist", "m_draws": "--m", "burn_in": "--burn", "b_boot": "--b",
+                 "r_ground_truth": "--r"}
+        argv = []
+        for name, value in want.items():
+            argv += [flags.get(name, "--" + name.replace("_", "-")), str(value)]
+        with pytest.raises(Captured):
+            cli_dispatch(["--seed", "9", "--threads", "2", "--out", str(tmp_path / "o"),
+                          "experiment", *argv])
+        capsys.readouterr()
+        (cfg,) = seen
+        assert {name: getattr(cfg, name) for name in want} == want
+        assert (cfg.seed, cfg.threads, cfg.output_dir) == (9, 2, str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("sub, options", [
+        ("", "seed config out threads format"),
+        ("simulate", "model g-count alpha beta n gamma-true dist scale df"),
+        ("sample", "model g-count alpha beta known-sd m burn thin data"),
+        ("ij", "draws loglik g-cols g-expr"),
+        ("bootstrap", "model g-count alpha beta known-sd m burn thin data b"),
+        ("sandwich", "model g-count alpha beta known-sd data"),
+        ("mcse", "draws loglik g-cols g-expr statistic blocks reps"),
+        ("diagnose", "data draws g-count alpha beta ij-se"),
+        ("bclt-check", "model phi n-grid rate"),
+        ("experiment", "model n gamma-true dist scale df g-count alpha beta known-sd m burn b r "
+                       "blocks se-reps"),
+        ("report", "result"),
+    ], ids=lambda v: v or "ijcov")
+    def test_help_lists_the_options(self, capsys, sub, options):
+        code, out, _ = run_cli(capsys, *filter(None, [sub]), "--help")
+        assert code == 0
+        want = [f"--{name}" for name in options.split()] + ["--help"]
+        assert re.findall(r"^  (--[a-z][a-z-]*)", out, re.M) == want

@@ -74,6 +74,8 @@ class TestBlockBootstrapSE:
         s = chain_sample(np.random.default_rng(0).normal(size=400))
         with pytest.raises(ValueError):
             block_bootstrap_se(s, "ij_cov", reps=60)
+        with pytest.raises(ValueError, match="log-likelihood"):
+            block_bootstrap_se(s, ("bayes_cov", "ij_cov"), reps=60)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -271,6 +273,24 @@ class TestStackedReplicatesAgainstLoop:
                 got = block_bootstrap_se(sample, statistic, blocks=blocks, reps=60, seed=9)
             assert np.array_equal(got.xi,
                                   replicate_loop_se(sample, statistic, blocks, 60, seed=9))
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_stacked_statistics_are_the_single_calls(self, chain):
+        # one call shares the block sums, tau_hat and the picks; the Bayes
+        # SE from sums built with the log-likelihood keeps its bits
+        sample = CHAINS[chain]()
+        for blocks in (20, 7, None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                both = block_bootstrap_se(sample, ("bayes_cov", "ij_cov"), blocks=blocks,
+                                          reps=60, seed=9)
+                singles = [block_bootstrap_se(sample, name, blocks=blocks, reps=60, seed=9)
+                           for name in ("bayes_cov", "ij_cov")]
+            q = sample.q
+            assert both.xi.shape == (2, q, q) and singles[0].xi.shape == (q, q)
+            assert np.array_equal(both.xi, np.stack([one.xi for one in singles]))
+            assert (both.blocks, both.reps) == (singles[0].blocks, 60)
+            assert both.method == "block_bootstrap[bayes_cov,ij_cov]"
 
     @pytest.mark.parametrize("blocks", [2, 7, 37, 400])
     def test_one_draw_is_the_per_replicate_stream(self, blocks):

@@ -26,7 +26,8 @@ from ijcov import (
     simulate_poisson_re,
 )
 from ijcov import models
-from ijcov.models import hessian_sum, ones_weights, score_sum, weighted_log_posterior
+from ijcov.models import (hessian_sum, ones_weights, score_sum, validate_weights,
+                          weighted_log_posterior)
 from ijcov.samplers import MapFit
 
 
@@ -49,6 +50,14 @@ class TestWeights:
         lp_w = weighted_log_posterior(model, data, ones_weights(3), theta)
         want = sum(model.log_lik(x, theta) for x in data.units) + model.log_prior(theta)
         assert lp_w == pytest.approx(want, rel=1e-15)
+
+    def test_no_weights_are_unit_weights(self):
+        assert np.array_equal(validate_weights(None, 3), ones_weights(3))
+        model = NormalMeanModel(known_sd=1.0)
+        data = Dataset(np.array([0.5, -1.0, 2.0]))
+        theta = np.array([0.3])
+        assert weighted_log_posterior(model, data, None, theta) == \
+            weighted_log_posterior(model, data, ones_weights(3), theta)
 
     def test_negative_weight_rejected(self):
         model = NormalMeanModel()
