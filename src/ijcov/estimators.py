@@ -11,6 +11,9 @@ and the Bayes covariance with divisor M-1 over draws, for the whole chain
 and, as one stacked call, for the block-bootstrap replicates of mc_error.
 It builds its per-block sums a chunk of equal-length blocks at a time, each
 chunk one stacked sum or matmul held to the ``models._BLOCK_CELLS`` budget.
+With q = 1, a block whose log-likelihood exceeds the budget (always the
+whole chain) is centered in column strips through one reused buffer, so the
+M x N matrix is never copied whole.
 `_row_cov` divides by rows - ddof: N-1 over influence scores, B-1 and R-1
 over bootstrap and ground-truth replicates.  The sandwich's score covariance
 uses divisor N.  Bootstrap and ground-truth replicate chains all run through
@@ -103,6 +106,11 @@ class CovEstimate:
         return dataclasses.replace(self, se=se)
 
 
+# Strip width of `_BlockSums._loglik_strips` (4 MiB at M = 4,000): a multiple
+# of 16, so each column keeps its row group in the BLAS gemv kernel.
+_STRIP_COLS = 128
+
+
 class _BlockSums:
     """Per-block sums of a chain centered at its full-chain means, one row per
     block: sum g, sum g g^T and, with the log-likelihood, sum ll and sum ll g^T
@@ -114,7 +122,9 @@ class _BlockSums:
     block's calls, so every block keeps its bits.  A chain that takes block b
     counts[b] times has the counts-weighted totals as its draw sums, so a
     block-bootstrap resample is never built, and the whole chain is one block
-    taken once."""
+    taken once.  With q = 1 a block whose log-likelihood exceeds the budget is
+    centered in column strips; with q >= 2 it stays one copy, as a gemm's bits
+    depend on its column count (strips of 16-256 moved 1 to 6 of 8 shapes)."""
 
     def __init__(self, sample: PosteriorSample, bounds, with_loglik: bool):
         self.n_data = sample.n_data
@@ -135,10 +145,27 @@ class _BlockSums:
                 g = (sample.g_values[a:b] - g_mean).reshape(j - i, length, q)
                 np.sum(g, axis=1, out=self.s_g[i:j])
                 np.matmul(g.swapaxes(1, 2), g, out=self.s_gg[i:j].reshape(j - i, q, q))
-                if n:
+                if n and q == 1 and length * n > models._BLOCK_CELLS:
+                    self._loglik_strips(sample.loglik[a:b], ll_mean, g[0], i)
+                elif n:
                     ll = (sample.loglik[a:b] - ll_mean).reshape(j - i, length, n)
                     np.sum(ll, axis=1, out=self.s_l[i:j])
                     np.matmul(ll.swapaxes(1, 2), g, out=self.s_lg[i:j].reshape(j - i, n, q))
+
+    def _loglik_strips(self, ll: np.ndarray, ll_mean: np.ndarray, g: np.ndarray, i: int):
+        """Block i's log-likelihood sums for q = 1, its rows `ll` centered
+        `_STRIP_COLS` columns at a time in one buffer.  A column's sum and
+        gemv row do not depend on the columns beside it, so each keeps its
+        bits; a last strip under 16 columns joins the one before, as a gemv
+        of 1 to 3 rows or a one-column sum moved bits."""
+        rows, n = ll.shape
+        cuts = [*range(0, max(n - 15, 1), _STRIP_COLS), n]
+        buf = np.empty(rows * max(np.diff(cuts)))
+        for c0, c1 in zip(cuts, cuts[1:]):
+            strip = buf[:rows * (c1 - c0)].reshape(rows, c1 - c0)
+            np.subtract(ll[:, c0:c1], ll_mean[c0:c1], out=strip)
+            np.sum(strip, axis=0, out=self.s_l[i, c0:c1])
+            np.matmul(strip.T, g, out=self.s_lg[i, c0:c1, None])
 
     def statistic(self, counts: np.ndarray, statistic: str) -> np.ndarray:
         """`statistic` of each chain r of the (R, blocks) `counts`, stacked on

@@ -109,6 +109,11 @@ class ExperimentConfig:
                     alpha=self.alpha, beta=self.beta)
         else:
             _check_normal_sim(self.true_dist, self.scale, self.df)
+        # settings the model ignores still go to result.json, where NaN is not JSON
+        for name in ("gamma_true", "alpha", "beta", "scale", "df", "known_sd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # ChainConfig refuses a bad burn_in here instead of in the chain
         # stage; the normal study's exact sampler keeps every draw
         chain = ChainConfig(m_draws=self.m_draws, burn_in=self.burn_in)
@@ -136,6 +141,12 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = {k: v for k, v in d.items() if k != "n_over_g"}
         return ExperimentConfig(**d)
+
+
+def _sentinels_as_text(a: np.ndarray) -> list:
+    """a.tolist() with the +-inf sentinels of Z and Delta as "inf"/"-inf" (JSON
+    has no Infinity); np.asarray(..., dtype=np.float64) reads them back."""
+    return np.where(np.isfinite(a), a.astype(object), a.astype(str)).tolist()
 
 
 @dataclass
@@ -166,9 +177,9 @@ class ExperimentResult:
             "v_ij": cov_to_dict(self.v_ij),
             "v_boot": cov_to_dict(self.v_boot),
             "v_map": None if self.v_map is None else cov_to_dict(self.v_map),
-            "z": self.z.tolist(),
-            "delta_ij": self.delta_ij.tolist(),
-            "delta_bayes": self.delta_bayes.tolist(),
+            "z": _sentinels_as_text(self.z),
+            "delta_ij": _sentinels_as_text(self.delta_ij),
+            "delta_bayes": _sentinels_as_text(self.delta_bayes),
             "kappa_hat": self.kappa_hat,
             "resid_t1_hat": self.resid_t1_hat,
         }

@@ -399,11 +399,13 @@ def cov_from_dict(d):
 
 
 def write_json(path, obj) -> None:
+    """Write `obj` as strict JSON: a NaN or infinity raises ValueError before
+    the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

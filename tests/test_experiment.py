@@ -117,6 +117,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(n=10, **settings)
 
+    @pytest.mark.parametrize("settings, message", [
+        (dict(model="poisson_re", known_sd=math.nan), "known_sd must be finite, got nan"),
+        (dict(model="poisson_re", scale=math.inf), "scale must be finite, got inf"),
+        (dict(model="poisson_re", df=-math.inf), "df must be finite, got -inf"),
+        (dict(model="normal_misspec", alpha=math.nan), "alpha must be finite, got nan"),
+        (dict(model="normal_misspec", gamma_true=math.inf), "gamma_true must be finite, got inf"),
+    ], ids=["re_known_sd", "re_scale", "re_df", "normal_alpha", "normal_gamma_true"])
+    def test_unused_non_finite_settings(self, settings, message):
+        # the model ignores them, but result.json would carry them
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(n=10, **settings)
+
     def test_n_over_g(self):
         cfg = ExperimentConfig(model="poisson_re", n=40, g_count=8)
         assert cfg.n_over_g == 5.0
@@ -315,6 +327,13 @@ class TestRendering:
         text = (tmp_path / "report.txt").read_text()
         assert "inf*" in text
         assert "zero Monte-Carlo-error denominator" in text
+
+    def test_infinite_sentinel_is_text_in_result_json(self, tmp_path):
+        # strict JSON has no Infinity; the report reads the text back
+        emit_report(fake_result(-math.inf), tmp_path)
+        doc = read_json(tmp_path / "result.json")
+        assert doc["z"] == [["-inf"]] and doc["delta_ij"] == [[0.0]]
+        assert ExperimentResult.from_dict(doc).z.tolist() == [[-math.inf]]
 
 
 class TestChainSE:

@@ -43,6 +43,7 @@ from ijcov.io import (
     read_dataset_csv,
     write_dataset_csv,
     write_draws_csv,
+    write_json,
     write_loglik_csv,
 )
 from ijcov.samplers import PosteriorSample
@@ -552,6 +553,14 @@ class TestCovJson:
         assert back.se is None
         np.testing.assert_array_equal(back.v, est.v)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused_before_writing(self, tmp_path, value):
+        # NaN and Infinity are not JSON
+        path = tmp_path / "out" / "v.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"v": [[1.0, value]]})
+        assert not path.exists()
+
 
 class TestCliIj:
     def test_toy_file_hand_value(self, capsys, toy_files):
@@ -1017,6 +1026,22 @@ class TestCliSettingsRefused:
                                  "--model", "normal_misspec", "--n", "50", "--known-sd", "nan")
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: known_sd must be finite and positive, got nan"]
+        assert not (tmp_path / "o").exists()
+
+    def test_experiment_unused_non_finite_settings_refused(self, capsys, monkeypatch, tmp_path):
+        # poisson_re reads neither known_sd nor scale, but result.json
+        # would carry both, and NaN or Infinity is not JSON
+        def never(*args, **kwargs):
+            raise AssertionError("a chain must not start")
+
+        monkeypatch.setattr("ijcov.experiment.sample_posterior", never)
+        monkeypatch.setattr("ijcov.estimators.posterior_means", never)
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "o"), "experiment",
+                                 "--model", "poisson_re", "--n", "12", "--g-count", "4",
+                                 "--m", "200", "--b", "10", "--r", "10",
+                                 "--known-sd", "nan", "--scale", "inf")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: scale must be finite, got inf"]
         assert not (tmp_path / "o").exists()
 
     def test_simulate_has_no_known_sd(self, capsys, tmp_path):

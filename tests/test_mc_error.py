@@ -3,6 +3,9 @@ bootstrap summaries, and the Z / Delta comparison metrics."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -28,9 +31,13 @@ from ijcov import (
     simulate_poisson_re,
     z_matrix,
 )
-from ijcov import models
+from ijcov import estimators, models
 from ijcov.estimators import _BlockSums
 from ijcov.rng import KIND_BLOCK_BOOT, stream
+
+
+ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")}
 
 
 def chain_sample(g, loglik=None, n_data=10):
@@ -365,6 +372,43 @@ class TestStackedBlockSums:
                 want = block_sums_loop(sample, bounds, n > 0)
                 for name, w in zip(("s_g", "s_gg", "s_l", "s_lg"), want):
                     assert np.array_equal(getattr(got, name), w), (m, n, q, blocks, name)
+
+    def test_column_strips_equal_the_per_block_loop(self):
+        # under the default budget a whole-chain block of q = 1 is centered
+        # in strips, a last strip under 16 columns joining the one before;
+        # q >= 2 keeps one copy.  OpenBLAS splits a threaded gemv's rows by
+        # the thread count, so at N = 401 or 1001 its bits depend on that
+        # count whatever the strips: the check runs at one BLAS thread
+        if any(os.environ.get(k) != "1" for k in ONE_BLAS_THREAD):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 f"{__file__}::TestStackedBlockSums::test_column_strips_equal_the_per_block_loop"],
+                env={**os.environ, **ONE_BLAS_THREAD}, capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stdout[-3000:]
+            return
+        for m, n, q in itertools.product((3001, 4000), (129, 401, 1001), (1, 2, 3)):
+            sample = random_sample(m, n, q, seed=m + n + q)
+            for blocks in (1, 2, 3):
+                bounds = split_bounds(m, blocks)
+                got = _BlockSums(sample, bounds, with_loglik=True)
+                want = block_sums_loop(sample, bounds, True)
+                for name, w in zip(("s_g", "s_gg", "s_l", "s_lg"), want):
+                    assert np.array_equal(getattr(got, name), w), (m, n, q, blocks, name)
+
+    def test_influence_scores_peak_is_the_sums_and_one_strip(self):
+        # (M, N) = (4000, 400), q = 1: no 12.8 MB centered copy of the
+        # log-likelihood, only one 4 MB strip beside the g column, the sums
+        # and the 128 KiB buffers of numpy's strided subtract
+        sample = random_sample(4000, 400, 1)
+        strip = 4000 * estimators._STRIP_COLS * 8
+        tracemalloc.start()
+        try:
+            influence_scores(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < strip + 2**18
 
     def test_peak_memory_is_the_sums_and_one_chunk(self):
         # the study's shape: M = 4000, N = 400, 400 blocks; the sums of the

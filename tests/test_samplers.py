@@ -2,6 +2,7 @@
 random-effects model, the MH fallback, MAP optimization, and ESS."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -381,6 +382,51 @@ class TestMapOptimize:
         fit = map_optimize(model, Dataset(y))
         assert fit.converged
         assert fit.theta_hat[0] == pytest.approx(4.0, abs=1e-9)
+
+
+def direct_ess(chain) -> float:
+    """Oracle for `ess`: each autocovariance as a dot of two lagged views,
+    xc[:M-j] @ xc[j:], read only as far as Geyer's initial-positive-sequence
+    rule goes."""
+    x = np.asarray(chain, dtype=np.float64).reshape(-1)
+    m = x.size
+    xc = x - x.mean()
+    acov0 = float(xc @ xc)
+    if acov0 == 0.0:
+        return float(m)
+    tau = -1.0
+    for j in range(0, m - 1, 2):
+        pair = float(xc[:m - j] @ xc[j:]) / acov0 + float(xc[:m - j - 1] @ xc[j + 1:]) / acov0
+        if pair <= 0:
+            break
+        tau += 2.0 * pair
+    return float(m) if tau <= 0 else float(min(m, m / tau))
+
+
+def ar1_chain(phi, m, seed):
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(size=m)
+    x = np.empty(m)
+    x[0] = eps[0]
+    for t in range(1, m):
+        x[t] = phi * x[t - 1] + eps[t]
+    return x
+
+
+class TestEssAgainstDirectLags:
+    """The FFT autocovariances give the ESS of the lag-by-lag definition."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.6, 0.9, 0.95, 0.97])
+    def test_ar1_chains_agree(self, phi):
+        for m, seed in itertools.product((10, 11, 17, 100, 1001, 4000), range(3)):
+            x = ar1_chain(phi, m, seed)
+            assert ess(x) == pytest.approx(direct_ess(x), rel=1e-12, abs=0), (m, seed)
+
+    def test_long_tau_chain(self):
+        # a random walk: the pair sums stay positive far out, so most lags
+        # are read
+        x = np.cumsum(np.random.default_rng(3).normal(size=3000))
+        assert ess(x) == pytest.approx(direct_ess(x), rel=1e-12, abs=0)
 
 
 class TestEss:
